@@ -46,8 +46,11 @@ def write_csv(out: Optional[str], header: Sequence[str], rows) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc.strerror}") from None
 
 
 def parse_config(path: Optional[str]) -> SystemParams:
@@ -136,6 +139,8 @@ def run_training(
     """
     if cycle_cap < 1:
         raise ValueError("cycle_cap must be >= 1")
+    if not enterprises:
+        raise ValueError("need at least one enterprise")
     model = GlobalModel.initial(enterprises[0].train.dim)
     train_sets = [e.train for e in enterprises]
     rows: list[tuple] = []

@@ -151,10 +151,9 @@ def read_samples(path: str, owner: int = 0) -> Dataset:
                 raise ValueError(f"bad number on line {lineno} of {path}") from None
             if len(values) < 2:
                 raise ValueError(f"need a label and features on line {lineno} of {path}")
-            label = int(values[0])
-            if label not in (-1, 1) or values[0] != label:
+            if values[0] not in (-1.0, 1.0):
                 raise ValueError(f"label must be -1 or +1 on line {lineno} of {path}")
-            labels.append(label)
+            labels.append(int(values[0]))
             rows.append(values[1:])
     if not rows:
         raise ValueError(f"no samples in {path}")

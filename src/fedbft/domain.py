@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Sequence
@@ -44,6 +45,10 @@ _INT_FIELDS = frozenset({"n_peers", "f", "n_block", "t_max"})
 # so the attribute is called lam.
 _KEY_TO_ATTR = {"lambda": "lam"}
 _ATTR_TO_KEY = {v: k for k, v in _KEY_TO_ATTR.items()}
+
+# Fields where +inf has a meaning: tau=inf never seals on the timeout, and
+# epsilon=inf stops training after one cycle.  Every other field must be finite.
+_INF_ALLOWED = frozenset({"tau", "epsilon"})
 
 
 @dataclass(frozen=True)
@@ -85,6 +90,9 @@ class SystemParams:
 
 def validate_params(p: SystemParams) -> SystemParams:
     """Check every invariant, raising ValueError naming the first violation."""
+    for field in fields(p):
+        if field.name not in _INF_ALLOWED and not math.isfinite(getattr(p, field.name)):
+            raise ValueError(f"{_ATTR_TO_KEY.get(field.name, field.name)} must be finite")
     if not p.lam > 0:
         raise ValueError("lambda must be positive")
     if not p.mu > 0:

@@ -71,7 +71,10 @@ class GlobalModel:
 
 
 def sigmoid(z):
-    """Numerically safe logistic function, scalar or array."""
+    """Numerically safe logistic function; a float gets the array path's exact bits."""
+    if isinstance(z, float):
+        t = float(np.exp(-abs(z)))  # math.exp can differ in the last bit
+        return 1.0 / (1.0 + t) if z >= 0 else t / (1.0 + t)
     z = np.asarray(z, dtype=np.float64)
     t = np.exp(-np.abs(z))
     out = np.where(z >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
@@ -160,14 +163,19 @@ def svrg_local_cycle(
         anchor_grad = average_gradient(anchor_w, ds)
 
     signed_x = ds.x * ds.y[:, None]                      # rows are y_k * x_k
-    anchor_terms = signed_x * sigmoid(_margins(anchor_w, ds))[:, None]
+    anchor_s = sigmoid(_margins(anchor_w, ds))
     step = p.beta / n_i
 
+    # Same indices and final rng state as t_max scalar draws, and the same
+    # operation order as step * (g_now - anchor_term_k + anchor_grad).
     w = anchor_w.copy()
-    for _ in range(p.t_max):
-        k = int(rng.integers(n_i))
-        g_now = signed_x[k] * sigmoid(float(signed_x[k] @ w))
-        w -= step * (g_now - anchor_terms[k] + anchor_grad)
+    for k in rng.integers(n_i, size=p.t_max):
+        row = signed_x[k]
+        g = row * sigmoid(float(row @ w))
+        g -= row * anchor_s[k]
+        g += anchor_grad
+        g *= step
+        w -= g
     if not np.isfinite(w).all():
         raise ValueError("local update diverged; reduce beta")
 

@@ -401,7 +401,9 @@ def run_cycle(
     """Execute one full training cycle and account for its latency.
 
     Local training and the up/down links contribute their deterministic
-    formula delays; batching and voting are simulated.  Transactions that
+    formula delays; batching and voting are simulated.  t_local is the
+    largest created_at among the sealed block's txs, so the slowest
+    enterprise whose update the block holds sets it.  Transactions that
     fail cross-verification never reach the candidate block, and the
     global step aggregates the sealed block's transactions only.
     Adversarial enterprises submit random weights instead of training.
@@ -437,7 +439,7 @@ def run_cycle(
     new_model = GlobalModel(new_weights, global_full_gradient(block_txs),
                             model.cycle + 1)
     breakdown = LatencyBreakdown(
-        t_local=latency.t_local_update(p.delta_d, len(enterprises[0].train), p.f_c),
+        t_local=max(tx.created_at for tx in block_txs),
         t_up=latency.t_upload(p.delta_m, p.w_up, p.gamma_up),
         t_preprepare=voting.t_preprepare,
         t_prepare=voting.t_prepare,

@@ -231,6 +231,21 @@ def test_fl_run_rejects_bad_adversary_id(capsys):
     assert "error: adversary id 9 out of range" in err
 
 
+def test_fl_run_rejects_zero_enterprises(capsys):
+    code, out, err = run_cli(["fl-run", "--enterprises", "0"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: need at least one enterprise\n"
+
+
+def test_unwritable_out_path_is_an_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(["model", "--out", str(target)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
 def test_fl_run_rejects_mismatched_data_files(tmp_path, capsys):
     rng = np.random.default_rng(1)
     a = tmp_path / "a.txt"

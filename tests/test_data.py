@@ -112,6 +112,8 @@ def test_samples_file_skips_blank_lines(tmp_path):
     ("2 0.5\n", "label must be -1 or \\+1 on line 1"),
     ("1 0.5\n-1 0.5 0.6\n", "inconsistent feature count"),
     ("", "no samples"),
+    ("inf 0.5\n", "label must be -1 or \\+1 on line 1"),
+    ("nan 0.5\n", "label must be -1 or \\+1 on line 1"),
 ])
 def test_samples_file_errors(tmp_path, content, msg):
     path = tmp_path / "bad.txt"

@@ -41,6 +41,12 @@ def test_defaults_are_valid():
     (dict(epsilon=0.0), "epsilon must be positive"),
     (dict(e0=1.5), "e0 must be within [0, 1]"),
     (dict(t_max=0), "t_max must be >= 1"),
+    (dict(mu=math.inf), "mu must be finite"),
+    (dict(lam=math.nan), "lambda must be finite"),
+    (dict(w_up=math.inf), "w_up must be finite"),
+    (dict(beta=math.inf), "beta must be finite"),
+    (dict(tau=math.nan), "tau must be positive"),
+    (dict(epsilon=math.nan), "epsilon must be positive"),
 ])
 def test_invalid_params_rejected(kwargs, msg):
     with pytest.raises(ValueError, match=msg.replace("[", r"\[").replace("+", r"\+")):

@@ -57,6 +57,17 @@ def test_sigmoid_extremes():
     np.testing.assert_allclose(sigmoid(z) + sigmoid(-z), 1.0, rtol=1e-12)
 
 
+def test_sigmoid_float_path_equals_array_path_bit_for_bit():
+    z = np.random.default_rng(17).normal(scale=20.0, size=100_000)
+    edges = np.array([0.0, -0.0, 700.0, -700.0, 1000.0, -1000.0,
+                      np.inf, -np.inf, np.nan])
+    z = np.concatenate([z, edges])
+    want = sigmoid(z)
+    got = np.array([sigmoid(float(v)) for v in z])
+    assert all(isinstance(sigmoid(float(v)), float) for v in edges)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_gradient_matches_finite_differences():
     # central differences on 100 random (w, x, y) draws
     rng = np.random.default_rng(1234)
@@ -154,6 +165,49 @@ def test_local_cycle_two_step_trace():
     # the shared gradient is this dataset's mean gradient at the result
     np.testing.assert_allclose(tx.shared_gradient,
                                average_gradient(tx.weights, ds), rtol=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 7, 400, 2**33])
+def test_block_index_draw_equals_scalar_draws(n):
+    # svrg_local_cycle draws its t_max step indices as one block
+    block_rng = np.random.default_rng(21)
+    scalar_rng = np.random.default_rng(21)
+    block = block_rng.integers(n, size=500)
+    scalar = [int(scalar_rng.integers(n)) for _ in range(500)]
+    assert block.tolist() == scalar
+    assert block_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+
+def reference_local_weights(model, ds, p, rng):
+    """The step loop as first written: scalar draws, array sigmoid, an
+    (N, dim) matrix of anchor terms, and an out-of-place update."""
+    anchor_w = np.asarray(model.weights, dtype=np.float64)
+    anchor_grad = (average_gradient(anchor_w, ds) if model.full_gradient is None
+                   else np.asarray(model.full_gradient, dtype=np.float64))
+    signed_x = ds.x * ds.y[:, None]
+    anchor_terms = signed_x * sigmoid(ds.y * (ds.x @ anchor_w))[:, None]
+    step = p.beta / len(ds)
+    w = anchor_w.copy()
+    for _ in range(p.t_max):
+        k = int(rng.integers(len(ds)))
+        g_now = signed_x[k] * sigmoid(np.asarray(float(signed_x[k] @ w)))
+        w -= step * (g_now - anchor_terms[k] + anchor_grad)
+    return w
+
+
+@pytest.mark.parametrize("dim,anchored", [(2, False), (2, True), (300, True)])
+def test_local_cycle_equals_reference_loop_bit_for_bit(dim, anchored):
+    rng = np.random.default_rng(dim)
+    ds = two_class_gaussian(80, dim, 3.0, rng)
+    model = (GlobalModel(rng.normal(size=dim), rng.normal(size=dim) * 0.1, 1)
+             if anchored else GlobalModel.initial(dim))
+    p = SystemParams(beta=2.0, t_max=300)
+    fast_rng = np.random.default_rng(5)
+    ref_rng = np.random.default_rng(5)
+    tx = svrg_local_cycle(model, ds, p, fast_rng)
+    np.testing.assert_array_equal(tx.weights,
+                                  reference_local_weights(model, ds, p, ref_rng))
+    assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_local_cycle_fixed_point_at_zero_anchor_gradient():

@@ -353,6 +353,17 @@ def test_run_cycle_advances_the_model():
     assert audit_block(block, ents, p)
 
 
+def test_run_cycle_t_local_is_the_slowest_block_member():
+    p = SystemParams(t_max=20)
+    streams = RandomStreams.from_seed(5)
+    ents = [split_dataset(two_class_gaussian(n, 2, 4.0, streams.data, owner=i))
+            for i, n in enumerate((50, 5000, 50, 50))]
+    _, breakdown, block = run_cycle(p, ents, GlobalModel.initial(2), streams)
+    assert 1 in {tx.enterprise_id for tx in block.txs}
+    assert breakdown.t_local == max(tx.created_at for tx in block.txs)
+    assert breakdown.t_local == pytest.approx(0.04)  # 4000 train rows
+
+
 def test_run_cycle_is_reproducible():
     p = SystemParams(t_max=50)
     ents, streams = make_enterprises(1)

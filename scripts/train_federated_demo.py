@@ -15,10 +15,9 @@ Usage:
 import argparse
 from dataclasses import replace
 
-from fedbft.cli import run_training
 from fedbft.data import split_dataset, two_class_gaussian
 from fedbft.domain import DEFAULT_PARAMS
-from fedbft.sim import RandomStreams
+from fedbft.sim import RandomStreams, run_training
 
 ADVERSARY = 2
 

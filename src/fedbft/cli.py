@@ -8,6 +8,7 @@ byte-identical files.  Errors exit nonzero after a single
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -15,19 +16,18 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import latency
-from .data import Dataset, EnterpriseData, read_samples, split_dataset, two_class_gaussian
-from .domain import (ALL_FIELDS, Block, DEFAULT_PARAMS, LatencyBreakdown,
-                     SystemParams, parse_params_text)
-from .fl import GlobalModel, accuracy, has_converged, pooled_mean_loss
-from .sim import RandomStreams, run_cycle, run_experiment
+from .data import Dataset, read_samples, split_dataset, two_class_gaussian
+from .domain import ALL_FIELDS, DEFAULT_PARAMS, SystemParams, parse_params_text
+from .sim import RandomStreams, run_experiment, run_training
 
 __all__ = [
     "main", "parse_config", "format_value", "write_csv",
-    "sweep_values", "SweepSpec", "TrainingRun", "run_training",
+    "sweep_values", "SweepSpec",
 ]
 
 SWEEPABLE = ("lambda", "f", "n_block", "mu")
 _INT_PARAMS = {"f", "n_block"}
+MAX_SWEEP_POINTS = 10_000
 
 
 def format_value(value) -> str:
@@ -51,6 +51,19 @@ def write_csv(out: Optional[str], header: Sequence[str], rows) -> None:
                 fh.write(text)
         except OSError as exc:
             raise ValueError(f"cannot write {out}: {exc.strerror}") from None
+
+
+def _check_writable(out: Optional[str]) -> None:
+    """Fail before any work when the output CSV could not be opened."""
+    if out is None or out == "-":
+        return
+    existed = os.path.lexists(out)
+    try:
+        open(out, "a").close()
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc.strerror}") from None
+    if not existed:
+        os.remove(out)
 
 
 def parse_config(path: Optional[str]) -> SystemParams:
@@ -91,8 +104,10 @@ class SweepSpec:
 
 
 def sweep_values(spec: SweepSpec) -> list[float]:
-    count = int(np.floor((spec.stop - spec.start) / spec.step + 1e-9)) + 1
-    values = [spec.start + k * spec.step for k in range(count)]
+    span = np.floor((spec.stop - spec.start) / spec.step + 1e-9)
+    if not span < MAX_SWEEP_POINTS:  # also catches an infinite span
+        raise ValueError(f"sweep grid exceeds {MAX_SWEEP_POINTS} points")
+    values = [spec.start + k * spec.step for k in range(int(span) + 1)]
     if spec.param in _INT_PARAMS:
         for v in values:
             if abs(v - round(v)) > 1e-9:
@@ -112,68 +127,12 @@ def _point_params(base: SystemParams, param: str, value: float) -> SystemParams:
     return replace(base, f=f, n_peers=3 * f + 1)
 
 
-@dataclass
-class TrainingRun:
-    """Everything a training session produced, cycle by cycle."""
-
-    rows: list[tuple]
-    blocks: list[Block]
-    weights_per_cycle: list[np.ndarray]
-    converged: bool
-    model: GlobalModel
-
-
-def run_training(
-    p: SystemParams,
-    enterprises: Sequence[EnterpriseData],
-    holdout: Dataset,
-    streams: RandomStreams,
-    adversaries: Sequence[int] = (),
-    cycle_cap: int = 500,
-) -> TrainingRun:
-    """Drive whole training cycles until the stop rule or the cycle cap.
-
-    Each row records the cycle index, the global weight move, held-out
-    accuracy, pooled training loss, the sealed block's transaction count
-    and the full latency breakdown.
-    """
-    if cycle_cap < 1:
-        raise ValueError("cycle_cap must be >= 1")
-    if not enterprises:
-        raise ValueError("need at least one enterprise")
-    model = GlobalModel.initial(enterprises[0].train.dim)
-    train_sets = [e.train for e in enterprises]
-    rows: list[tuple] = []
-    blocks: list[Block] = []
-    weights = [model.weights]
-    converged = False
-    for cycle in range(1, cycle_cap + 1):
-        prev = model.weights
-        model, breakdown, block = run_cycle(p, enterprises, model, streams,
-                                            adversaries)
-        delta = float(np.linalg.norm(model.weights - prev))
-        rows.append((
-            cycle, delta, accuracy(model.weights, holdout),
-            pooled_mean_loss(model.weights, train_sets), len(block.txs),
-            *(getattr(breakdown, name) for name in ALL_FIELDS),
-        ))
-        blocks.append(block)
-        weights.append(model.weights)
-        if has_converged(model.weights, prev, p.epsilon):
-            converged = True
-            break
-    return TrainingRun(rows, blocks, weights, converged, model)
-
-
-def _breakdown_row(bd: LatencyBreakdown) -> list[float]:
-    return [getattr(bd, name) for name in ALL_FIELDS]
-
-
 def cmd_model(args) -> int:
     p = parse_config(args.config)
     b = args.batch if args.batch is not None else p.n_block
     bd = latency.t_total(p, args.n_samples, b)
-    write_csv(args.out, ("b",) + ALL_FIELDS, [[bd.b, *_breakdown_row(bd)]])
+    row = [bd.b, *(getattr(bd, name) for name in ALL_FIELDS)]
+    write_csv(args.out, ("b",) + ALL_FIELDS, [row])
     return 0
 
 
@@ -236,8 +195,10 @@ def cmd_optimal_lambda(args) -> int:
 
 def _load_enterprises(args, streams: RandomStreams):
     """Build per-enterprise train/test splits plus a held-out set."""
-    if args.data:
+    if args.data is not None:
         paths = [s for s in args.data.split(",") if s]
+        if not paths:
+            raise ValueError("no data file given")
         datasets = [read_samples(path, owner=i) for i, path in enumerate(paths)]
         dims = {d.dim for d in datasets}
         if len(dims) != 1:
@@ -341,6 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_writable(args.out)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

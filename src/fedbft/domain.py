@@ -7,7 +7,6 @@ shared freely between the trainer, the verifier and the simulator.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import struct
 from dataclasses import dataclass, fields
@@ -32,10 +31,6 @@ __all__ = [
     "tx_digest",
     "parse_params_text",
     "params_to_text",
-    "tx_to_json",
-    "tx_from_json",
-    "block_to_json",
-    "block_from_json",
 ]
 
 # Integer-valued configuration fields; everything else parses as float.
@@ -379,49 +374,3 @@ class ExperimentStats:
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
 
-
-def _tx_dict(tx: LocalUpdateTx) -> dict:
-    return {
-        "enterprise_id": tx.enterprise_id,
-        "weights": [float(v) for v in tx.weights],
-        "shared_gradient": [float(v) for v in tx.shared_gradient],
-        "n_samples": tx.n_samples,
-        "created_at": tx.created_at,
-        "digest": tx.digest,
-    }
-
-
-def _tx_from_dict(d: dict) -> LocalUpdateTx:
-    return LocalUpdateTx(
-        enterprise_id=int(d["enterprise_id"]),
-        weights=np.array(d["weights"], dtype=np.float64),
-        shared_gradient=np.array(d["shared_gradient"], dtype=np.float64),
-        n_samples=int(d["n_samples"]),
-        created_at=float(d["created_at"]),
-        digest=str(d["digest"]),
-    )
-
-
-def tx_to_json(tx: LocalUpdateTx) -> str:
-    return json.dumps(_tx_dict(tx))
-
-
-def tx_from_json(text: str) -> LocalUpdateTx:
-    return _tx_from_dict(json.loads(text))
-
-
-def block_to_json(block: Block) -> str:
-    return json.dumps({
-        "txs": [_tx_dict(tx) for tx in block.txs],
-        "sealed_at": block.sealed_at,
-        "size_bits": block.size_bits,
-    })
-
-
-def block_from_json(text: str) -> Block:
-    d = json.loads(text)
-    return Block(
-        txs=tuple(_tx_from_dict(td) for td in d["txs"]),
-        sealed_at=float(d["sealed_at"]),
-        size_bits=float(d["size_bits"]),
-    )

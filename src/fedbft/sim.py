@@ -1,21 +1,24 @@
-"""Seeded discrete-event simulation of the batching and consensus pipeline.
+"""Seeded simulation of the batching and consensus pipeline.
 
-The leader's queue is simulated event by event: transactions arrive with
-exponential gaps, are served FIFO at an exponential rate, and a block is
-sealed at the earlier of n_block served transactions or tau elapsed since
-the measured cycle's first arrival (never before the first completion).
-A voting round is then timed at one fixed honest observer peer.
+Transactions arrive at the leader with exponential gaps and are served FIFO
+at an exponential rate.  One kernel, ``_serve``, computes every departure
+with Lindley's recurrence D_i = max(A_i, D_{i-1}) + S_i, written as a running
+maximum over the cumulative service, and applies the seal rule: a block
+closes at the earlier of n_block served transactions or tau after the
+cycle's first arrival, never before the first completion, and a stream that
+runs out first flushes what has been served.  The voting round is timed at
+one fixed honest observer peer as the sum of its vote gaps and message
+processing draws (``_phase_times``).
 
-``run_experiment`` repeats that pipeline many times.  Its inner loop is a
-vectorized transcription of the same recurrences drawing from identical
-substreams, which the test suite holds equal to the event-driven path.
+``run_cycle`` drives one training cycle through that pipeline and
+``run_training`` repeats cycles until the stop rule.  ``run_experiment``
+replicates the pipeline from per-replication substreams and sets the
+measured delays beside the formula predictions.
 """
 from __future__ import annotations
 
-import heapq
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -23,88 +26,18 @@ import numpy as np
 from .data import Dataset, EnterpriseData
 from .domain import (ALL_FIELDS, Block, ExperimentStats, LatencyBreakdown,
                      LocalUpdateTx, SystemParams)
-from .fl import (GlobalModel, aggregate_global, global_full_gradient,
-                 svrg_local_cycle, verify_update)
+from .fl import (GlobalModel, accuracy, aggregate_global, global_full_gradient,
+                 has_converged, pooled_mean_loss, svrg_local_cycle,
+                 verify_update)
 from . import latency
 
 __all__ = [
-    "TX_ARRIVAL", "SERVICE_COMPLETE", "BLOCK_SEALED", "PRE_PREPARE_RECV",
-    "PREPARE_RECV", "COMMIT_RECV", "REPLY_SENT",
-    "Event", "EventQueue", "PeerState", "RandomStreams",
-    "sample_exponential", "generate_arrivals", "arrival_times",
+    "RandomStreams", "sample_exponential", "arrival_times",
     "LeaderBatch", "run_leader_batching",
     "ConsensusTiming", "run_pbft_round",
-    "run_cycle", "run_experiment", "audit_block",
+    "run_cycle", "TrainingRun", "run_training",
+    "run_experiment", "audit_block",
 ]
-
-TX_ARRIVAL = "TxArrival"
-SERVICE_COMPLETE = "ServiceComplete"
-BLOCK_SEALED = "BlockSealed"
-PRE_PREPARE_RECV = "PrePrepareRecv"
-PREPARE_RECV = "PrepareRecv"
-COMMIT_RECV = "CommitRecv"
-REPLY_SENT = "ReplySent"
-
-EVENT_KINDS = (TX_ARRIVAL, SERVICE_COMPLETE, BLOCK_SEALED, PRE_PREPARE_RECV,
-               PREPARE_RECV, COMMIT_RECV, REPLY_SENT)
-
-
-@dataclass(frozen=True)
-class Event:
-    """One scheduled occurrence; ordering is by (time, seq), so ties resolve
-    in scheduling order."""
-
-    time: float
-    seq: int
-    kind: str
-    payload: object = None
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
-
-class EventQueue:
-    """Min-heap of events with a monotone clock.
-
-    Scheduling into the past raises, and pop() never runs backwards, which
-    together give the causality guarantee the tests lean on.
-    """
-
-    def __init__(self, collect_trace: bool = False):
-        self._heap: list[Event] = []
-        self._seq = 0
-        self.now = 0.0
-        self.trace: Optional[list[Event]] = [] if collect_trace else None
-
-    def push(self, time: float, kind: str, payload: object = None) -> Event:
-        if time < self.now:
-            raise ValueError("cannot schedule an event before the current time")
-        ev = Event(time, self._seq, kind, payload)
-        self._seq += 1
-        heapq.heappush(self._heap, ev)
-        return ev
-
-    def pop(self) -> Event:
-        ev = heapq.heappop(self._heap)
-        self.now = ev.time
-        if self.trace is not None:
-            self.trace.append(ev)
-        return ev
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-
-@dataclass
-class PeerState:
-    """Book-keeping for one consensus peer."""
-
-    peer_id: int
-    is_leader: bool = False
-    is_faulty: bool = False
-    inbox: deque = field(default_factory=deque)
-    prepare_count: int = 0
-    commit_count: int = 0
 
 
 @dataclass
@@ -146,21 +79,6 @@ def arrival_times(lam: float, count: int, rng: np.random.Generator) -> np.ndarra
     return np.cumsum(sample_exponential(lam, rng, count))
 
 
-def generate_arrivals(lam: float, horizon: float, rng: np.random.Generator) -> np.ndarray:
-    """All arrival times of a rate-lam Poisson process inside [0, horizon)."""
-    if not horizon > 0:
-        raise ValueError("horizon must be positive")
-    chunk = max(64, int(lam * horizon * 1.2))
-    times = np.empty(0)
-    last = 0.0
-    while last < horizon:
-        gaps = sample_exponential(lam, rng, chunk)
-        new = last + np.cumsum(gaps)
-        times = np.concatenate([times, new])
-        last = float(new[-1])
-    return times[times < horizon]
-
-
 @dataclass(frozen=True)
 class LeaderBatch:
     """Outcome of serving one arrival stream through the leader's queue.
@@ -180,12 +98,38 @@ class LeaderBatch:
         return float(self.sojourns[self.first_tx:self.first_tx + self.b].sum())
 
 
+def _serve(p: SystemParams, arrivals: np.ndarray, services: np.ndarray,
+           first_tx: int) -> LeaderBatch:
+    """FIFO departures and the seal rule: the simulator's one queue kernel.
+
+    D_i = max(A_i, D_{i-1}) + S_i is evaluated as C_i + max_{j<=i}(A_j - C_j
+    + S_j), with C the cumulative service time.  The block starts at
+    ``first_tx`` and seals at its n_block-th departure if that comes no
+    later than tau after its first arrival; otherwise at that timeout with
+    the transactions served by then, or at the first departure if none
+    was; with no timeout, a stream too short to fill it seals at its last
+    departure.
+    """
+    C = np.cumsum(services)
+    D = C + np.maximum.accumulate(arrivals - C + services)
+    cycle = D[first_tx:]
+    timeout_at = arrivals[first_tx] + p.tau
+    if cycle.size >= p.n_block and cycle[p.n_block - 1] <= timeout_at:
+        b, seal_time, timed_out = p.n_block, cycle[p.n_block - 1], False
+    elif math.isfinite(timeout_at):
+        served = int(np.searchsorted(cycle, timeout_at, side="right"))
+        b, timed_out = max(served, 1), True
+        seal_time = timeout_at if served else cycle[0]
+    else:
+        b, seal_time, timed_out = cycle.size, D[-1], False
+    return LeaderBatch(b, float(seal_time), first_tx, D - arrivals, timed_out)
+
+
 def run_leader_batching(
     p: SystemParams,
     arrivals: np.ndarray,
     rng: np.random.Generator,
     first_tx: int = 0,
-    collect_trace: bool = False,
 ) -> LeaderBatch:
     """Serve an arrival stream FIFO at rate mu and seal one block.
 
@@ -204,66 +148,7 @@ def run_leader_batching(
         raise ValueError("arrival times must be nondecreasing and >= 0")
     if not 0 <= first_tx < n:
         raise ValueError("first_tx out of range")
-
-    services = np.atleast_1d(sample_exponential(p.mu, rng, n))
-    q = EventQueue(collect_trace)
-    for i in range(n):
-        q.push(arrivals[i], TX_ARRIVAL, i)
-    timeout_at = arrivals[first_tx] + p.tau
-    if math.isfinite(timeout_at):
-        q.push(timeout_at, BLOCK_SEALED, None)
-
-    waiting: deque[int] = deque()
-    busy = False
-    departures = np.empty(n)
-    served_in_cycle = 0
-    b: Optional[int] = None
-    seal_time = 0.0
-    timed_out = False
-    timeout_pending = False
-
-    while len(q):
-        ev = q.pop()
-        if ev.kind == TX_ARRIVAL:
-            i = ev.payload
-            if busy:
-                waiting.append(i)
-            else:
-                busy = True
-                q.push(ev.time + services[i], SERVICE_COMPLETE, i)
-        elif ev.kind == SERVICE_COMPLETE:
-            i = ev.payload
-            departures[i] = ev.time
-            if i >= first_tx and b is None:
-                served_in_cycle += 1
-                if timeout_pending:
-                    q.push(ev.time, BLOCK_SEALED, served_in_cycle)
-                elif served_in_cycle == p.n_block:
-                    q.push(ev.time, BLOCK_SEALED, served_in_cycle)
-            if waiting:
-                j = waiting.popleft()
-                q.push(ev.time + services[j], SERVICE_COMPLETE, j)
-            else:
-                busy = False
-        elif ev.kind == BLOCK_SEALED:
-            if b is not None:
-                continue  # stale timeout after a size-triggered seal
-            if ev.payload is not None:
-                b = int(ev.payload)
-                seal_time = ev.time
-                timed_out = timeout_pending
-            elif served_in_cycle >= 1:
-                b = served_in_cycle
-                seal_time = ev.time
-                timed_out = True
-            else:
-                timeout_pending = True
-
-    if b is None:  # arrival stream exhausted before either trigger
-        b = served_in_cycle
-        seal_time = float(departures[-1])
-        timed_out = False
-    return LeaderBatch(b, seal_time, first_tx, departures - arrivals, timed_out)
+    return _serve(p, arrivals, sample_exponential(p.mu, rng, n), first_tx)
 
 
 @dataclass(frozen=True)
@@ -297,12 +182,18 @@ def _draw_faulty(p: SystemParams, streams: "RandomStreams") -> frozenset[int]:
     return frozenset(int(i) for i in picks)
 
 
+def _phase_times(p: SystemParams, streams: "RandomStreams") -> tuple[float, float]:
+    """(t_prepare, t_commit): each phase's vote gaps plus its processing draws."""
+    gaps_prep, gaps_com, proc_prep, proc_com = _pbft_draws(p, streams)
+    return (float(gaps_prep.sum() + proc_prep.sum()),
+            float(gaps_com.sum() + proc_com.sum()))
+
+
 def run_pbft_round(
     p: SystemParams,
     batch: LeaderBatch,
     streams: "RandomStreams",
     faulty: Optional[Iterable[int]] = None,
-    collect_trace: bool = False,
 ) -> ConsensusTiming:
     """Time one three-phase voting round at a fixed honest observer.
 
@@ -310,7 +201,8 @@ def run_pbft_round(
     phase the observer waits for 2f votes from distinct honest peers
     (exponential(lambda) gaps), then works through the 2f+1 matching
     messages at exponential(mu) apiece; faulty peers stay silent.  Fewer
-    than 2f+1 live peers makes the quorum unreachable.
+    than 2f+1 live peers makes the quorum unreachable; otherwise the round
+    always commits.  The observer is the lowest honest non-leader peer.
     """
     faulty = frozenset(int(i) for i in faulty) if faulty is not None \
         else _draw_faulty(p, streams)
@@ -318,62 +210,18 @@ def run_pbft_round(
         raise ValueError("the leader never leads faulty: peer 0 must be honest")
     if not faulty <= set(range(p.n_peers)):
         raise ValueError("faulty peer id out of range")
-    peers = [PeerState(i, is_leader=(i == 0), is_faulty=(i in faulty))
-             for i in range(p.n_peers)]
-    honest = [s.peer_id for s in peers if not s.is_faulty]
+    honest = [i for i in range(p.n_peers) if i not in faulty]
     if len(honest) < 2 * p.f + 1:
         raise ValueError("quorum unreachable: more than f peers are faulty")
-    observer = next(s for s in peers if not s.is_faulty and not s.is_leader) \
-        if len(honest) > 1 else peers[0]
-    senders = [i for i in honest if i != observer.peer_id][:2 * p.f]
-
-    gaps_prep, gaps_com, proc_prep, proc_com = _pbft_draws(p, streams)
-    q = EventQueue(collect_trace)
-    q.push(0.0, PRE_PREPARE_RECV, observer.peer_id)
-
-    def run_phase(kind: str, start: float, gaps, procs) -> float:
-        """One voting phase from `start`; returns its completion time."""
-        count_attr = "prepare_count" if kind == PREPARE_RECV else "commit_count"
-        setattr(observer, count_attr, 1)  # the observer's own vote
-        for sender, t in zip(senders, start + np.cumsum(gaps)):
-            q.push(t, kind, sender)
-        quorum_at = start
-        while getattr(observer, count_attr) < 2 * p.f + 1:
-            ev = q.pop()
-            observer.inbox.append(ev.payload)
-            setattr(observer, count_attr, getattr(observer, count_attr) + 1)
-            quorum_at = ev.time
-        t = quorum_at
-        for dt in procs:
-            t += dt
-            q.push(t, SERVICE_COMPLETE, observer.peer_id)
-            q.pop()
-            if observer.inbox:
-                observer.inbox.popleft()
-        return t
-
-    ev = q.pop()
-    assert ev.kind == PRE_PREPARE_RECV
-    prepare_end = run_phase(PREPARE_RECV, ev.time, gaps_prep, proc_prep)
-    commit_end = run_phase(COMMIT_RECV, prepare_end, gaps_com, proc_com)
-    q.push(commit_end, REPLY_SENT, observer.peer_id)
-    q.pop()
-    committed = observer.commit_count >= 2 * p.f + 1
+    t_prepare, t_commit = _phase_times(p, streams)
     return ConsensusTiming(
         t_preprepare=batch.block_sojourn_total,
-        t_prepare=prepare_end - ev.time,
-        t_commit=commit_end - prepare_end,
-        committed=committed,
-        observer=observer.peer_id,
+        t_prepare=t_prepare,
+        t_commit=t_commit,
+        committed=True,
+        observer=honest[1] if len(honest) > 1 else 0,
         faulty=faulty,
     )
-
-
-def _peer_of(enterprise_id: int, n_peers: int) -> int:
-    return enterprise_id % n_peers
-
-def _test_set_of(peer_id: int, enterprises: Sequence[EnterpriseData]) -> Dataset:
-    return enterprises[peer_id % len(enterprises)].test
 
 
 def _passes_verification(
@@ -381,14 +229,14 @@ def _passes_verification(
     enterprises: Sequence[EnterpriseData],
     p: SystemParams,
 ) -> bool:
-    """A tx enters the candidate block only if every other peer accepts it."""
-    own = _peer_of(tx.enterprise_id, p.n_peers)
-    for peer_id in range(p.n_peers):
-        if peer_id == own:
-            continue
-        if not verify_update(tx, _test_set_of(peer_id, enterprises), p.e0).accepted:
-            return False
-    return True
+    """A tx enters the candidate block only if every other peer accepts it.
+
+    Enterprise i sits at peer i mod n_peers; peer j verifies against the
+    test set of enterprise j mod the enterprise count.
+    """
+    own = tx.enterprise_id % p.n_peers
+    return all(verify_update(tx, enterprises[j % len(enterprises)].test, p.e0).accepted
+               for j in range(p.n_peers) if j != own)
 
 
 def run_cycle(
@@ -450,6 +298,59 @@ def run_cycle(
     return new_model, breakdown, block
 
 
+@dataclass
+class TrainingRun:
+    """Everything a training session produced, cycle by cycle."""
+
+    rows: list[tuple]
+    blocks: list[Block]
+    weights_per_cycle: list[np.ndarray]
+    converged: bool
+    model: GlobalModel
+
+
+def run_training(
+    p: SystemParams,
+    enterprises: Sequence[EnterpriseData],
+    holdout: Dataset,
+    streams: "RandomStreams",
+    adversaries: Sequence[int] = (),
+    cycle_cap: int = 500,
+) -> TrainingRun:
+    """Drive whole training cycles until the stop rule or the cycle cap.
+
+    Each row records the cycle index, the global weight move, held-out
+    accuracy, pooled training loss, the sealed block's transaction count
+    and the full latency breakdown.
+    """
+    if cycle_cap < 1:
+        raise ValueError("cycle_cap must be >= 1")
+    if not enterprises:
+        raise ValueError("need at least one enterprise")
+    model = GlobalModel.initial(enterprises[0].train.dim)
+    train_sets = [e.train for e in enterprises]
+    rows: list[tuple] = []
+    blocks: list[Block] = []
+    weights = [model.weights]
+    converged = False
+    for cycle in range(1, cycle_cap + 1):
+        prev = model.weights
+        model, breakdown, block = run_cycle(p, enterprises, model, streams,
+                                            adversaries)
+        delta = float(np.linalg.norm(model.weights - prev))
+        rows.append((
+            cycle, delta, accuracy(model.weights, holdout),
+            pooled_mean_loss(model.weights, train_sets), len(block.txs),
+            *(getattr(breakdown, name) for name in ALL_FIELDS),
+        ))
+        blocks.append(block)
+        weights.append(model.weights)
+        if has_converged(model.weights, prev, p.epsilon):
+            converged = True
+            break
+    return TrainingRun(rows, blocks, weights, converged, model)
+
+
 def audit_block(
     block: Block,
     enterprises: Sequence[EnterpriseData],
@@ -461,30 +362,16 @@ def audit_block(
 
 
 def _fast_replication(p: SystemParams, streams: "RandomStreams", warmup: int):
-    """Vectorized twin of run_leader_batching + run_pbft_round.
-
-    Draws the exact substream values the event-driven pair would draw and
-    applies the same FIFO recurrence D_i = max(A_i, D_{i-1}) + S_i, written
-    as a running maximum.  Returns (b, preprepare, prepare, commit).
+    """One replication: warmup + n_block arrivals through the queue, the
+    block from index ``warmup`` on, then its voting round.  Draws what
+    run_leader_batching and run_pbft_round (given a fault set) would draw,
+    without their input checks.  Returns (b, preprepare, prepare, commit).
     """
     n = warmup + p.n_block
-    gaps = sample_exponential(p.lam, streams.arrivals, n)
-    A = np.cumsum(gaps)
-    S = sample_exponential(p.mu, streams.services, n)
-    C = np.cumsum(S)
-    D = C + np.maximum.accumulate(A - C + S)
-
-    timeout_at = A[warmup] + p.tau
-    if D[-1] <= timeout_at:
-        b = p.n_block
-    else:
-        b = max(1, int(np.searchsorted(D[warmup:], timeout_at, side="right")))
-    t_pre = float((D - A)[warmup:warmup + b].sum())
-
-    gaps_prep, gaps_com, proc_prep, proc_com = _pbft_draws(p, streams)
-    t_prepare = float(gaps_prep.sum() + proc_prep.sum())
-    t_commit = float(gaps_com.sum() + proc_com.sum())
-    return b, t_pre, t_prepare, t_commit
+    arrivals = arrival_times(p.lam, n, streams.arrivals)
+    batch = _serve(p, arrivals, sample_exponential(p.mu, streams.services, n),
+                   warmup)
+    return (batch.b, batch.block_sojourn_total, *_phase_times(p, streams))
 
 
 def _stat_row(values: np.ndarray) -> tuple[float, float]:
@@ -541,25 +428,14 @@ def run_experiment(
         "t_dn": dn,
         "t_global": np.full(replications, t_global),
     }
-    sim["t_update"] = sim["t_local"] + sim["t_global"]
-    sim["t_commun"] = sim["t_up"] + sim["t_dn"]
-    sim["t_consensus"] = pre + prep + com
-    sim["t_total"] = sim["t_update"] + sim["t_commun"] + sim["t_consensus"]
-
-    phase = latency.t_prepare_phase(p.f, p.lam, p.mu)
-    ana = {
-        "t_local": np.full(replications, t_local),
-        "t_up": np.full(replications, t_up),
-        "t_preprepare": bs / (p.mu - p.lam),
-        "t_prepare": np.full(replications, phase),
-        "t_commit": np.full(replications, phase),
-        "t_dn": dn,
-        "t_global": np.full(replications, t_global),
-    }
-    ana["t_update"] = ana["t_local"] + ana["t_global"]
-    ana["t_commun"] = ana["t_up"] + ana["t_dn"]
-    ana["t_consensus"] = ana["t_preprepare"] + ana["t_prepare"] + ana["t_commit"]
-    ana["t_total"] = ana["t_update"] + ana["t_commun"] + ana["t_consensus"]
+    phase = np.full(replications, latency.t_prepare_phase(p.f, p.lam, p.mu))
+    ana = dict(sim, t_preprepare=bs / (p.mu - p.lam), t_prepare=phase,
+               t_commit=phase)
+    for d in (sim, ana):
+        d["t_update"] = d["t_local"] + d["t_global"]
+        d["t_commun"] = d["t_up"] + d["t_dn"]
+        d["t_consensus"] = d["t_preprepare"] + d["t_prepare"] + d["t_commit"]
+        d["t_total"] = d["t_update"] + d["t_commun"] + d["t_consensus"]
 
     mean: dict[str, float] = {}
     std_err: dict[str, float] = {}

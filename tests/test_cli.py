@@ -2,12 +2,11 @@
 import numpy as np
 import pytest
 
-from fedbft import latency
-from fedbft.cli import (SweepSpec, format_value, main, parse_config,
-                        run_training, sweep_values)
+from fedbft import cli, latency
+from fedbft.cli import SweepSpec, format_value, main, parse_config, sweep_values
 from fedbft.data import two_class_gaussian, split_dataset, write_samples
 from fedbft.domain import ALL_FIELDS, DEFAULT_PARAMS, SystemParams
-from fedbft.sim import RandomStreams
+from fedbft.sim import RandomStreams, run_training
 
 
 def run_cli(args, capsys):
@@ -124,6 +123,11 @@ def test_sweep_spec_validation():
         sweep_values(SweepSpec("f", 1.0, 2.0, 0.5))
     with pytest.raises(ValueError, match="replications must be >= 1"):
         SweepSpec("lambda", 1.0, 2.0, 1.0, reps=0)
+    # the point count is checked before the grid is built
+    assert len(sweep_values(SweepSpec("lambda", 0.0, 9999.0, 1.0))) == 10_000
+    for stop, step in ((10_000.0, 1.0), (1e6, 1e-9), (1e308, 1e-308)):
+        with pytest.raises(ValueError, match="sweep grid exceeds 10000 points"):
+            sweep_values(SweepSpec("lambda", 0.0, stop, step))
 
 
 def test_sweep_over_lambda(capsys):
@@ -246,6 +250,33 @@ def test_unwritable_out_path_is_an_error(tmp_path, capsys):
     assert err == f"error: cannot write {target}: No such file or directory\n"
 
 
+@pytest.mark.parametrize("command", [
+    ["fl-run", "--cycle-cap", "1"],
+    ["sweep", "--param", "lambda", "--from", "50", "--to", "100", "--step", "50"],
+])
+def test_unwritable_out_path_fails_before_any_work(command, tmp_path, capsys,
+                                                   monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run started before --out was checked")
+    monkeypatch.setattr(cli, "run_training", no_work)
+    monkeypatch.setattr(cli, "run_experiment", no_work)
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli([*command, "--out", str(target)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
+def test_out_path_check_leaves_no_file_behind(tmp_path, capsys):
+    # a run that fails after the --out check must not leave an empty CSV
+    target = tmp_path / "x.csv"
+    code, _, err = run_cli(["fl-run", "--enterprises", "0", "--out",
+                            str(target)], capsys)
+    assert code == 1
+    assert err == "error: need at least one enterprise\n"
+    assert not target.exists()
+
+
 def test_fl_run_rejects_mismatched_data_files(tmp_path, capsys):
     rng = np.random.default_rng(1)
     a = tmp_path / "a.txt"
@@ -255,6 +286,14 @@ def test_fl_run_rejects_mismatched_data_files(tmp_path, capsys):
     code, _, err = run_cli(["fl-run", "--data", f"{a},{b}"], capsys)
     assert code == 1
     assert "disagree on feature count" in err
+
+
+@pytest.mark.parametrize("data", [",", ""])
+def test_fl_run_rejects_empty_data_list(data, capsys):
+    code, out, err = run_cli(["fl-run", "--data", data], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: no data file given\n"
 
 
 # --- training orchestration ---

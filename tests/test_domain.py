@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 
 from fedbft.domain import (ALL_FIELDS, Block, COMPONENT_FIELDS, CONFIG_KEYS,
                            DEFAULT_PARAMS, LatencyBreakdown, LocalUpdateTx,
-                           Sample, SystemParams, block_from_json,
-                           block_to_json, params_to_text, parse_params_text,
-                           tx_digest, tx_from_json, tx_payload_bytes,
-                           tx_to_json)
+                           Sample, SystemParams, params_to_text,
+                           parse_params_text, tx_digest, tx_payload_bytes)
 
 
 def make_tx(eid=0, w=(1.0, 2.0), g=(0.1, 0.2), n=10, at=1.5):
@@ -161,12 +159,6 @@ def test_tx_shape_mismatch_rejected():
         make_tx(w=(1.0, 2.0), g=(0.1,))
 
 
-def test_tx_json_roundtrip():
-    tx = make_tx(eid=4, w=(0.5, -1.25), g=(0.0, 3.0), n=99, at=12.75)
-    back = tx_from_json(tx_to_json(tx))
-    assert back == tx and back.digest_ok()
-
-
 # --- blocks ---
 
 def test_seal_accounts_header_plus_payload():
@@ -199,12 +191,6 @@ def test_block_size_scales_linearly(n, h, delta_m):
     txs = [make_tx(eid=i, at=float(i)) for i in range(n)]
     block = Block.seal(txs, sealed_at=float(n), h=h, delta_m=delta_m)
     assert math.isclose(block.size_bits, h + delta_m * n, rel_tol=1e-12)
-
-
-def test_block_json_roundtrip():
-    txs = [make_tx(eid=i, at=float(i)) for i in range(2)]
-    block = Block.seal(txs, sealed_at=3.0, h=1e3, delta_m=1e4)
-    assert block_from_json(block_to_json(block)) == block
 
 
 # --- latency breakdown ---

@@ -1,18 +1,21 @@
-"""Frozen fl-run outputs: the training loop must reproduce them bit for bit.
+"""Frozen CLI outputs: training and simulation must reproduce them bit for bit.
 
-The CSVs under tests/data/ and the digest chains below were written by the
-step loop as first implemented (one scalar index draw and one array-path
-sigmoid per step).  A faster loop must leave every byte unchanged.
+The fl-run CSVs under tests/data/ and the digest chain below were written
+by the step loop as first implemented (one scalar index draw and one
+array-path sigmoid per step).  The simulate and sweep CSVs were written
+before the simulator's event-driven and vectorized engines were merged into
+one recurrence.  A faster or smaller implementation must leave every byte
+unchanged.
 """
 import hashlib
 from pathlib import Path
 
 import pytest
 
-from fedbft.cli import main, run_training
+from fedbft.cli import main
 from fedbft.data import split_dataset, two_class_gaussian
 from fedbft.domain import SystemParams
-from fedbft.sim import RandomStreams
+from fedbft.sim import RandomStreams, run_training
 
 DATA = Path(__file__).parent / "data"
 
@@ -28,19 +31,41 @@ SHAPES = {
                    "--adversaries", "2", "--cycle-cap", "30"]),
 }
 
+# (golden file, config text, argv); seed 0 and warm-up 1000 in all.  At
+# tau 10 every block seals on size (b = 100); at tau 0.2 every block seals
+# on the timeout, so b varies.
+SIMULATE = ["simulate", "--reps", "2000"]
+SWEEP = ["sweep", "--param", "lambda", "--from", "50", "--to", "250",
+         "--step", "50", "--reps", "300"]
+SIM_SHAPES = {
+    "simulate_tau10": ("simulate_tau10.csv", "tau=10\n", SIMULATE),
+    "simulate_tau0.2": ("simulate_tau0.2.csv", "tau=0.2\n", SIMULATE),
+    "sweep_tau10": ("sweep_lambda_tau10.csv", "tau=10\n", SWEEP),
+    "sweep_tau0.2": ("sweep_lambda_tau0.2.csv", "tau=0.2\n", SWEEP),
+}
+
+
+def assert_matches_golden(golden, config, argv, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "run.csv"
+    code = main([*argv, "--config", str(cfg), "--seed", "0", "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert out.read_bytes() == (DATA / golden).read_bytes()
+
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_fl_run_csv_is_byte_identical_to_golden(shape, tmp_path, capsys):
     golden, config, flags = SHAPES[shape]
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(config)
-    out = tmp_path / "run.csv"
-    code = main(["fl-run", "--config", str(cfg), "--seed", "0",
-                 "--enterprises", "4", "--samples", "500", "--holdout", "2000",
-                 *flags, "--out", str(out)])
-    capsys.readouterr()
-    assert code == 0
-    assert out.read_bytes() == (DATA / golden).read_bytes()
+    assert_matches_golden(golden, config,
+                          ["fl-run", "--enterprises", "4", "--samples", "500",
+                           "--holdout", "2000", *flags], tmp_path, capsys)
+
+
+@pytest.mark.parametrize("shape", sorted(SIM_SHAPES))
+def test_simulation_csv_is_byte_identical_to_golden(shape, tmp_path, capsys):
+    assert_matches_golden(*SIM_SHAPES[shape], tmp_path, capsys)
 
 
 def test_block_tx_digests_match_golden():

@@ -1,62 +1,16 @@
-"""Event queue, leader batching, voting rounds, and the replication harness."""
+"""Random draws, leader batching, voting rounds, and the replication harness."""
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fedbft.data import two_class_gaussian, split_dataset
 from fedbft.domain import ALL_FIELDS, SystemParams
 from fedbft.fl import GlobalModel
-from fedbft.sim import (EventQueue, LeaderBatch, RandomStreams, arrival_times,
-                        audit_block, generate_arrivals, run_cycle,
-                        run_experiment, run_leader_batching, run_pbft_round,
-                        sample_exponential, _fast_replication, _pbft_draws)
-
-
-# --- event queue ---
-
-def test_queue_orders_by_time():
-    q = EventQueue()
-    q.push(2.0, "B")
-    q.push(1.0, "A")
-    q.push(3.0, "C")
-    assert [q.pop().kind for _ in range(3)] == ["A", "B", "C"]
-    assert q.now == 3.0
-
-
-def test_queue_breaks_ties_in_schedule_order():
-    q = EventQueue()
-    for name in ("first", "second", "third"):
-        q.push(1.0, name)
-    assert [q.pop().kind for _ in range(3)] == ["first", "second", "third"]
-
-
-def test_queue_rejects_scheduling_into_the_past():
-    q = EventQueue()
-    q.push(5.0, "A")
-    q.pop()
-    with pytest.raises(ValueError, match="before the current time"):
-        q.push(4.0, "B")
-
-
-def test_queue_trace_records_pops():
-    q = EventQueue(collect_trace=True)
-    q.push(1.0, "A")
-    q.push(2.0, "B")
-    q.pop()
-    q.pop()
-    assert [ev.kind for ev in q.trace] == ["A", "B"]
-
-
-@given(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=30))
-def test_queue_pops_never_run_backwards(times):
-    q = EventQueue()
-    for t in times:
-        q.push(t, "x")
-    popped = [q.pop().time for _ in range(len(times))]
-    assert popped == sorted(popped)
+from fedbft.sim import (LeaderBatch, RandomStreams, arrival_times, audit_block,
+                        run_cycle, run_experiment, run_leader_batching,
+                        run_pbft_round, sample_exponential, _fast_replication,
+                        _pbft_draws)
 
 
 # --- random draws ---
@@ -79,35 +33,6 @@ def test_arrival_times_strictly_increase():
     assert np.all(np.diff(times) > 0)
     with pytest.raises(ValueError, match="count must be >= 1"):
         arrival_times(100.0, 0, np.random.default_rng(1))
-
-
-def test_generate_arrivals_counts_track_rate():
-    rng = np.random.default_rng(2)
-    times = generate_arrivals(50.0, 100.0, rng)
-    assert times[-1] < 100.0
-    assert np.all(np.diff(times) > 0)
-    # expected 5000 arrivals; allow five standard deviations
-    assert abs(times.size - 5000) < 5 * math.sqrt(5000)
-
-
-def test_merged_half_rate_streams_match_full_rate_counts():
-    # superposing two independent rate-25 processes reproduces the rate-50
-    # count distribution; compare empirical count CDFs across 400 runs
-    runs, horizon = 400, 2.0
-    full = np.array([generate_arrivals(50.0, horizon,
-                                       np.random.default_rng((11, i))).size
-                     for i in range(runs)])
-    merged = np.array([
-        generate_arrivals(25.0, horizon, np.random.default_rng((12, i))).size
-        + generate_arrivals(25.0, horizon, np.random.default_rng((13, i))).size
-        for i in range(runs)
-    ])
-    grid = np.arange(min(full.min(), merged.min()),
-                     max(full.max(), merged.max()) + 1)
-    cdf_full = np.searchsorted(np.sort(full), grid, side="right") / runs
-    cdf_merged = np.searchsorted(np.sort(merged), grid, side="right") / runs
-    # two-sample KS critical value at alpha=0.001 for n=m=400
-    assert np.abs(cdf_full - cdf_merged).max() < 1.949 * math.sqrt(2 / runs)
 
 
 def test_stream_substreams_are_independent():
@@ -296,9 +221,9 @@ def test_pbft_phase_mean_tracks_formula():
     assert vals.mean() == pytest.approx(expected, rel=0.03)
 
 
-# --- fast path vs event path ---
+# --- replication path vs the public entry points ---
 
-def event_replication(p, streams, warmup):
+def public_replication(p, streams, warmup):
     n = warmup + p.n_block
     arrivals = arrival_times(p.lam, n, streams.arrivals)
     batch = run_leader_batching(p, arrivals, streams.services, first_tx=warmup)
@@ -313,10 +238,9 @@ def test_fast_replication_equals_event_driven(warmup, tau):
     for seed in range(8):
         fast = _fast_replication(p, RandomStreams.for_replication(seed, 0),
                                  warmup)
-        slow = event_replication(p, RandomStreams.for_replication(seed, 0),
-                                 warmup)
-        assert fast[0] == slow[0]
-        np.testing.assert_allclose(fast[1:], slow[1:], rtol=1e-9)
+        slow = public_replication(p, RandomStreams.for_replication(seed, 0),
+                                  warmup)
+        assert fast == slow
 
 
 def test_stationary_sojourn_matches_theory():

@@ -16,7 +16,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import latency
-from .data import Dataset, read_samples, split_dataset, two_class_gaussian
+from .data import (Dataset, read_samples, read_text, split_dataset,
+                   two_class_gaussian)
 from .domain import ALL_FIELDS, DEFAULT_PARAMS, SystemParams, parse_params_text
 from .sim import RandomStreams, run_experiment, run_training
 
@@ -70,11 +71,7 @@ def parse_config(path: Optional[str]) -> SystemParams:
     """Load a key=value config file; no path means all defaults."""
     if path is None:
         return DEFAULT_PARAMS
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ValueError(f"cannot read config {path}: {exc.strerror}") from None
+    text = read_text(path, "config ")
     try:
         return parse_params_text(text)
     except ValueError as exc:
@@ -130,8 +127,10 @@ def _point_params(base: SystemParams, param: str, value: float) -> SystemParams:
 def cmd_model(args) -> int:
     p = parse_config(args.config)
     b = args.batch if args.batch is not None else p.n_block
+    if not 1 <= b <= p.n_block:
+        raise ValueError(f"batch must be within 1..{p.n_block} (n_block)")
     bd = latency.t_total(p, args.n_samples, b)
-    row = [bd.b, *(getattr(bd, name) for name in ALL_FIELDS)]
+    row = [b, *(getattr(bd, name) for name in ALL_FIELDS)]
     write_csv(args.out, ("b",) + ALL_FIELDS, [row])
     return 0
 
@@ -140,12 +139,10 @@ def cmd_simulate(args) -> int:
     p = parse_config(args.config)
     stats = run_experiment(p, args.reps, args.seed, n_samples=args.n_samples,
                            warmup=args.warmup, config_id=f"lambda={p.lam:g}")
-    rows = []
-    for name in ALL_FIELDS:
-        se = None if stats.std_err is None else stats.std_err[name]
-        rows.append([stats.config_id, stats.replications, name,
-                     stats.mean[name], se, stats.analytic[name],
-                     stats.rel_error[name]])
+    se = stats.std_err or {}
+    rows = [[stats.config_id, stats.replications, name, stats.mean[name],
+             se.get(name), stats.analytic[name], stats.rel_error[name]]
+            for name in ALL_FIELDS]
     write_csv(args.out, ("config_id", "replications", "component", "mean",
                          "std_err", "analytic", "rel_error"), rows)
     return 0

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -14,6 +14,7 @@ __all__ = [
     "two_class_gaussian",
     "split_dataset",
     "write_samples",
+    "read_text",
     "read_samples",
 ]
 
@@ -59,13 +60,6 @@ class Dataset:
     def samples(self) -> Iterator[Sample]:
         for i in range(len(self)):
             yield Sample(self.x[i], int(self.y[i]))
-
-    @classmethod
-    def from_samples(cls, samples: Sequence[Sample], owner: int = 0) -> "Dataset":
-        if not samples:
-            raise ValueError("need at least one sample")
-        return cls(np.stack([s.x for s in samples]),
-                   np.array([s.y for s in samples]), owner)
 
 
 @dataclass(frozen=True)
@@ -135,26 +129,36 @@ def write_samples(path: str, ds: Dataset) -> None:
             fh.write(f"{int(ds.y[i])} {coords}\n")
 
 
+def read_text(path: str, what: str = "") -> str:
+    """A whole UTF-8 text file; failing to read it is a ValueError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        reason = exc.strerror
+    except UnicodeDecodeError:
+        reason = "not UTF-8 text"
+    raise ValueError(f"cannot read {what}{path}: {reason}")
+
+
 def read_samples(path: str, owner: int = 0) -> Dataset:
     """Parse the plain-text samples format written by write_samples."""
     rows: list[list[float]] = []
     labels: list[int] = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            try:
-                values = [float(v) for v in parts]
-            except ValueError:
-                raise ValueError(f"bad number on line {lineno} of {path}") from None
-            if len(values) < 2:
-                raise ValueError(f"need a label and features on line {lineno} of {path}")
-            if values[0] not in (-1.0, 1.0):
-                raise ValueError(f"label must be -1 or +1 on line {lineno} of {path}")
-            labels.append(int(values[0]))
-            rows.append(values[1:])
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            values = [float(v) for v in line.split()]
+        except ValueError:
+            raise ValueError(f"bad number on line {lineno} of {path}") from None
+        if len(values) < 2:
+            raise ValueError(f"need a label and features on line {lineno} of {path}")
+        if values[0] not in (-1.0, 1.0):
+            raise ValueError(f"label must be -1 or +1 on line {lineno} of {path}")
+        labels.append(int(values[0]))
+        rows.append(values[1:])
     if not rows:
         raise ValueError(f"no samples in {path}")
     widths = {len(r) for r in rows}

@@ -349,11 +349,6 @@ class LatencyBreakdown:
     def t_total(self) -> float:
         return self.t_update + self.t_commun + self.t_consensus
 
-    def as_dict(self) -> dict[str, float]:
-        out = {name: getattr(self, name) for name in COMPONENT_FIELDS}
-        out.update({name: getattr(self, name) for name in SUM_FIELDS})
-        return out
-
 
 @dataclass(frozen=True)
 class ExperimentStats:

@@ -5,30 +5,25 @@ batches verified transactions (an M/M/1 queue), two broadcast voting
 phases, and global aggregation.  Every function returns seconds.
 
 The consensus total has two algebraically equal writings: the sum of the
-three phase delays, and a single rational closed form.  Both are kept and
-tested against each other; the closed form is also what the optimal-rate
-expression is derived from.
+three phase delays (``t_preprepare`` plus twice ``t_prepare_phase``), and
+a single rational closed form.  The tests hold them equal; the closed form
+is also what the optimal-rate expression is derived from.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import LatencyBreakdown, SystemParams
 
 __all__ = [
-    "AnalyticBreakdown",
     "t_local_update",
     "t_global_update",
-    "t_update",
     "t_upload",
     "t_download",
-    "t_commun",
     "t_preprepare",
     "t_prepare_phase",
-    "t_consensus",
     "consensus_closed_form",
     "consensus_slope",
     "t_total",
@@ -39,12 +34,8 @@ __all__ = [
 # Channel capacities below this are treated as a divergent link.
 _CAPACITY_FLOOR = 1e-12
 
-
-@dataclass(frozen=True)
-class AnalyticBreakdown(LatencyBreakdown):
-    """A predicted breakdown plus the batch size b it was computed for."""
-
-    b: int
+# Largest lambda grid argmin_consensus_grid builds (a few 8-MB arrays).
+MAX_GRID_POINTS = 1_000_000
 
 
 def _require_positive(**named: float) -> None:
@@ -73,9 +64,6 @@ def t_global_update(delta_m: float, n_block: int, f_c: float) -> float:
         raise ValueError("n_block must be >= 1")
     return delta_m * n_block / f_c
 
-def t_update(p: SystemParams, n_i: int) -> float:
-    return t_local_update(p.delta_d, n_i, p.f_c) + t_global_update(p.delta_m, p.n_block, p.f_c)
-
 
 def _capacity(bandwidth: float, gamma: float) -> float:
     cap = bandwidth * math.log2(1.0 + gamma)
@@ -95,9 +83,6 @@ def t_download(h: float, b: int, delta_m: float, w_dn: float, gamma_dn: float) -
     if b < 1:
         raise ValueError("b must be >= 1")
     return (h + b * delta_m) / _capacity(w_dn, gamma_dn)
-
-def t_commun(p: SystemParams, b: int) -> float:
-    return t_upload(p.delta_m, p.w_up, p.gamma_up) + t_download(p.h, b, p.delta_m, p.w_dn, p.gamma_dn)
 
 
 def t_preprepare(b: int, lam: float, mu: float) -> float:
@@ -126,11 +111,6 @@ def t_prepare_phase(f: int, lam: float, mu: float) -> float:
     return 2 * f / lam + (2 * f + 1) / mu
 
 
-def t_consensus(p: SystemParams, b: int) -> float:
-    """Phase-sum consensus delay: batching plus two voting phases."""
-    return t_preprepare(b, p.lam, p.mu) + 2 * t_prepare_phase(p.f, p.lam, p.mu)
-
-
 def consensus_closed_form(b: int, f: int, lam: float, mu: float) -> float:
     """Single-expression consensus delay, equal to the phase sum."""
     _require_rates(lam, mu)
@@ -152,9 +132,9 @@ def consensus_slope(lam: float, f: int, n_block: int, mu: float) -> float:
     return num / (lam ** 2 * (mu - lam) ** 2)
 
 
-def t_total(p: SystemParams, n_i: int, b: int) -> AnalyticBreakdown:
+def t_total(p: SystemParams, n_i: int, b: int) -> LatencyBreakdown:
     """Predicted breakdown of a whole cycle for batch size b."""
-    return AnalyticBreakdown(
+    return LatencyBreakdown(
         t_local=t_local_update(p.delta_d, n_i, p.f_c),
         t_up=t_upload(p.delta_m, p.w_up, p.gamma_up),
         t_preprepare=t_preprepare(b, p.lam, p.mu),
@@ -162,7 +142,6 @@ def t_total(p: SystemParams, n_i: int, b: int) -> AnalyticBreakdown:
         t_commit=t_prepare_phase(p.f, p.lam, p.mu),
         t_dn=t_download(p.h, b, p.delta_m, p.w_dn, p.gamma_dn),
         t_global=t_global_update(p.delta_m, p.n_block, p.f_c),
-        b=b,
     )
 
 
@@ -192,6 +171,8 @@ def argmin_consensus_grid(f: int, n_block: int, mu: float, grid_step: float) -> 
     checks discrete convexity: every second difference must be >= -1e-9.
     """
     _require_positive(mu=mu, grid_step=grid_step)
+    if not mu / grid_step < MAX_GRID_POINTS:  # also catches an infinite ratio
+        raise ValueError(f"lambda grid exceeds {MAX_GRID_POINTS} points")
     n_pts = int(round(mu / grid_step)) - 1
     if n_pts < 3:
         raise ValueError("grid_step too coarse for (0, mu)")

@@ -7,8 +7,8 @@ maximum over the cumulative service, and applies the seal rule: a block
 closes at the earlier of n_block served transactions or tau after the
 cycle's first arrival, never before the first completion, and a stream that
 runs out first flushes what has been served.  The voting round is timed at
-one fixed honest observer peer as the sum of its vote gaps and message
-processing draws (``_phase_times``).
+an honest peer as the sum of its vote gaps and message processing draws
+(``_phase_times``).
 
 ``run_cycle`` drives one training cycle through that pipeline and
 ``run_training`` repeats cycles until the stop rule.  ``run_experiment``
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -47,11 +47,10 @@ class RandomStreams:
     arrivals: np.random.Generator
     services: np.random.Generator
     data: np.random.Generator
-    faults: np.random.Generator
 
     @classmethod
     def _from_seed_seq(cls, ss: np.random.SeedSequence) -> "RandomStreams":
-        children = ss.spawn(4)
+        children = ss.spawn(3)
         return cls(*(np.random.default_rng(c) for c in children))
 
     @classmethod
@@ -153,38 +152,23 @@ def run_leader_batching(
 
 @dataclass(frozen=True)
 class ConsensusTiming:
-    """Phase delays observed at the fixed honest observer peer."""
+    """Phase delays observed at an honest peer."""
 
     t_preprepare: float
     t_prepare: float
     t_commit: float
-    committed: bool
-    observer: int
-    faulty: frozenset[int]
-
-
-def _pbft_draws(p: SystemParams, streams: "RandomStreams"):
-    """All randomness for one voting round, in the canonical order."""
-    twof = 2 * p.f
-    gaps_prepare = np.atleast_1d(sample_exponential(p.lam, streams.arrivals, twof)) \
-        if twof else np.empty(0)
-    gaps_commit = np.atleast_1d(sample_exponential(p.lam, streams.arrivals, twof)) \
-        if twof else np.empty(0)
-    proc_prepare = np.atleast_1d(sample_exponential(p.mu, streams.services, twof + 1))
-    proc_commit = np.atleast_1d(sample_exponential(p.mu, streams.services, twof + 1))
-    return gaps_prepare, gaps_commit, proc_prepare, proc_commit
-
-
-def _draw_faulty(p: SystemParams, streams: "RandomStreams") -> frozenset[int]:
-    if p.f == 0:
-        return frozenset()
-    picks = streams.faults.choice(np.arange(1, p.n_peers), size=p.f, replace=False)
-    return frozenset(int(i) for i in picks)
 
 
 def _phase_times(p: SystemParams, streams: "RandomStreams") -> tuple[float, float]:
-    """(t_prepare, t_commit): each phase's vote gaps plus its processing draws."""
-    gaps_prep, gaps_com, proc_prep, proc_com = _pbft_draws(p, streams)
+    """(t_prepare, t_commit): each phase's vote gaps plus its processing draws.
+
+    Draw order: prepare gaps, commit gaps, prepare processing, commit processing.
+    """
+    twof = 2 * p.f
+    gaps_prep = sample_exponential(p.lam, streams.arrivals, twof)
+    gaps_com = sample_exponential(p.lam, streams.arrivals, twof)
+    proc_prep = sample_exponential(p.mu, streams.services, twof + 1)
+    proc_com = sample_exponential(p.mu, streams.services, twof + 1)
     return (float(gaps_prep.sum() + proc_prep.sum()),
             float(gaps_com.sum() + proc_com.sum()))
 
@@ -193,35 +177,15 @@ def run_pbft_round(
     p: SystemParams,
     batch: LeaderBatch,
     streams: "RandomStreams",
-    faulty: Optional[Iterable[int]] = None,
 ) -> ConsensusTiming:
-    """Time one three-phase voting round at a fixed honest observer.
+    """Time one three-phase voting round at an honest peer.
 
     The batching sojourn total is the pre-prepare delay.  In each voting
-    phase the observer waits for 2f votes from distinct honest peers
-    (exponential(lambda) gaps), then works through the 2f+1 matching
-    messages at exponential(mu) apiece; faulty peers stay silent.  Fewer
-    than 2f+1 live peers makes the quorum unreachable; otherwise the round
-    always commits.  The observer is the lowest honest non-leader peer.
+    phase the peer waits for 2f votes (exponential(lambda) gaps), then
+    works through the 2f+1 matching messages at exponential(mu) apiece.
+    Which f peers are faulty does not change that sum.
     """
-    faulty = frozenset(int(i) for i in faulty) if faulty is not None \
-        else _draw_faulty(p, streams)
-    if 0 in faulty:
-        raise ValueError("the leader never leads faulty: peer 0 must be honest")
-    if not faulty <= set(range(p.n_peers)):
-        raise ValueError("faulty peer id out of range")
-    honest = [i for i in range(p.n_peers) if i not in faulty]
-    if len(honest) < 2 * p.f + 1:
-        raise ValueError("quorum unreachable: more than f peers are faulty")
-    t_prepare, t_commit = _phase_times(p, streams)
-    return ConsensusTiming(
-        t_preprepare=batch.block_sojourn_total,
-        t_prepare=t_prepare,
-        t_commit=t_commit,
-        committed=True,
-        observer=honest[1] if len(honest) > 1 else 0,
-        faulty=faulty,
-    )
+    return ConsensusTiming(batch.block_sojourn_total, *_phase_times(p, streams))
 
 
 def _passes_verification(
@@ -364,8 +328,8 @@ def audit_block(
 def _fast_replication(p: SystemParams, streams: "RandomStreams", warmup: int):
     """One replication: warmup + n_block arrivals through the queue, the
     block from index ``warmup`` on, then its voting round.  Draws what
-    run_leader_batching and run_pbft_round (given a fault set) would draw,
-    without their input checks.  Returns (b, preprepare, prepare, commit).
+    run_leader_batching and run_pbft_round would draw, without their input
+    checks.  Returns (b, preprepare, prepare, commit).
     """
     n = warmup + p.n_block
     arrivals = arrival_times(p.lam, n, streams.arrivals)
@@ -403,18 +367,16 @@ def run_experiment(
         raise ValueError("replications must be >= 1")
     if warmup < 0:
         raise ValueError("warmup must be >= 0")
-
-    bs = np.empty(replications)
-    pre = np.empty(replications)
-    prep = np.empty(replications)
-    com = np.empty(replications)
-    for r in range(replications):
-        streams = RandomStreams.for_replication(master_seed, r)
-        bs[r], pre[r], prep[r], com[r] = _fast_replication(p, streams, warmup)
-
     t_local = latency.t_local_update(p.delta_d, n_samples, p.f_c)
     t_up = latency.t_upload(p.delta_m, p.w_up, p.gamma_up)
     t_global = latency.t_global_update(p.delta_m, p.n_block, p.f_c)
+
+    draws = np.empty((replications, 4))
+    for r in range(replications):
+        streams = RandomStreams.for_replication(master_seed, r)
+        draws[r] = _fast_replication(p, streams, warmup)
+    bs, pre, prep, com = draws.T
+
     dn_of_b = {b: latency.t_download(p.h, int(b), p.delta_m, p.w_dn, p.gamma_dn)
                for b in np.unique(bs)}
     dn = np.array([dn_of_b[b] for b in bs])
@@ -437,21 +399,14 @@ def run_experiment(
         d["t_consensus"] = d["t_preprepare"] + d["t_prepare"] + d["t_commit"]
         d["t_total"] = d["t_update"] + d["t_commun"] + d["t_consensus"]
 
-    mean: dict[str, float] = {}
-    std_err: dict[str, float] = {}
-    analytic: dict[str, float] = {}
-    rel_error: dict[str, float] = {}
-    for name in ALL_FIELDS:
-        m, se = _stat_row(sim[name])
-        mean[name] = m
-        std_err[name] = se
-        analytic[name] = float(ana[name].mean())
-        rel_error[name] = abs(m - analytic[name]) / analytic[name]
+    rows = {name: _stat_row(sim[name]) for name in ALL_FIELDS}
+    mean = {name: m for name, (m, _) in rows.items()}
+    analytic = {name: float(ana[name].mean()) for name in ALL_FIELDS}
     return ExperimentStats(
         config_id=config_id,
         replications=replications,
         mean=mean,
-        std_err=None if replications < 2 else std_err,
+        std_err=None if replications < 2 else {n: se for n, (_, se) in rows.items()},
         analytic=analytic,
-        rel_error=rel_error,
+        rel_error={n: abs(mean[n] - analytic[n]) / analytic[n] for n in ALL_FIELDS},
     )

@@ -1,8 +1,14 @@
 """Command-line behaviour: CSV output, determinism, validation, exit codes."""
+import contextlib
+import io
+import math
+
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
-from fedbft import cli, latency
+from fedbft import cli, latency, sim
 from fedbft.cli import SweepSpec, format_value, main, parse_config, sweep_values
 from fedbft.data import two_class_gaussian, split_dataset, write_samples
 from fedbft.domain import ALL_FIELDS, DEFAULT_PARAMS, SystemParams
@@ -161,6 +167,28 @@ def test_sweep_fails_fast_before_any_output(capsys):
 
 # --- optimal-lambda ---
 
+@pytest.mark.parametrize("argv,err", [
+    (["model", "--batch", "500"], "error: batch must be within 1..100 (n_block)\n"),
+    (["model", "--batch", "0"], "error: batch must be within 1..100 (n_block)\n"),
+    (["optimal-lambda", "--grid-step", "3e-4"],
+     "error: lambda grid exceeds 1000000 points\n"),
+    (["optimal-lambda", "--grid-step", "1e-300"],
+     "error: lambda grid exceeds 1000000 points\n"),
+])
+def test_out_of_range_sizes_are_rejected(argv, err, capsys):
+    code, out, got = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert got == err
+
+
+def test_model_accepts_the_full_batch_range(capsys):
+    for b in ("1", "100"):
+        code, out, _ = run_cli(["model", "--batch", b], capsys)
+        assert code == 0
+        assert out.splitlines()[1].split(",")[0] == b
+
+
 def test_optimal_lambda_agrees_with_grid(capsys):
     code, out, err = run_cli(["optimal-lambda"], capsys)
     assert code == 0
@@ -296,6 +324,40 @@ def test_fl_run_rejects_empty_data_list(data, capsys):
     assert err == "error: no data file given\n"
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "binary"])
+@pytest.mark.parametrize("flag", ["--data", "--config"])
+def test_unreadable_input_file_is_an_error(flag, kind, tmp_path, capsys):
+    path = tmp_path / "input.txt"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "binary":
+        path.write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe")
+    reason = {"missing": "No such file or directory",
+              "directory": "Is a directory",
+              "binary": "not UTF-8 text"}[kind]
+    what = "config " if flag == "--config" else ""
+    code, out, err = run_cli(["fl-run", flag, str(path), "--cycle-cap", "1"],
+                             capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: cannot read {what}{path}: {reason}\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--reps", "5000"],
+    ["sweep", "--param", "lambda", "--from", "50", "--to", "100", "--step", "50"],
+])
+def test_bad_n_samples_fails_before_any_replication(command, capsys,
+                                                    monkeypatch):
+    def no_replication(*args, **kwargs):
+        raise AssertionError("a replication ran before n_samples was checked")
+    monkeypatch.setattr(sim, "_fast_replication", no_replication)
+    code, out, err = run_cli([*command, "--n-samples", "0"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: n_i must be >= 1\n"
+
+
 # --- training orchestration ---
 
 def test_run_training_row_shape():
@@ -336,3 +398,114 @@ def test_missing_config_file_is_an_error(capsys):
     code, _, err = run_cli(["model", "--config", "/no/such/file.cfg"], capsys)
     assert code == 1
     assert err.startswith("error: cannot read config")
+
+
+# --- no argv ends in a traceback ---
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    """Config and data files that the random argv below may name."""
+    root = tmp_path_factory.mktemp("inputs")
+    texts = {
+        "small.cfg": "lambda=150\nn_block=20\n",
+        "timeout.cfg": "tau=0.005\nn_block=10\n",
+        "faults.cfg": "f=2\nn_peers=7\nn_block=10\n",
+        "inf_mu.cfg": "mu=inf\n",
+        "bad_key.cfg": "what=1\n",
+        "bad_label.txt": "2 0.5\n",
+    }
+    for name, text in texts.items():
+        (root / name).write_text(text)
+    (root / "binary.bin").write_bytes(b"\xff\xfe\x00\x01")
+    (root / "folder").mkdir()
+    rng = np.random.default_rng(0)
+    for i in range(2):
+        write_samples(str(root / f"ent{i}.txt"), two_class_gaussian(30, 2, 4.0, rng))
+    write_samples(str(root / "ent3d.txt"), two_class_gaussian(30, 3, 4.0, rng))
+    return root
+
+
+def mostly(valid, *invalid):
+    """Draw from ``valid`` nine times in ten, else one of the invalid values."""
+    return st.sampled_from([valid] * 9 + [st.sampled_from(invalid)]).flatmap(
+        lambda strategy: strategy)
+
+
+@st.composite
+def cli_argv(draw):
+    """Random well-formed argv for one subcommand, kept small and fast.
+
+    ``{root}`` stands for the directory of ``input_files``.
+    """
+    def opt(flag, strategy):
+        value = draw(strategy)
+        return [] if value is None else [f"{flag}={value}"]
+
+    def files(*names):
+        return ",".join(f"{{root}}/{n}" if n else n for n in names)
+
+    ints = st.integers
+    command = draw(st.sampled_from(["model", "simulate", "sweep",
+                                    "optimal-lambda", "fl-run"]))
+    argv = [command]
+    argv += opt("--config", mostly(
+        st.sampled_from([None, files("small.cfg"), files("timeout.cfg"),
+                         files("faults.cfg")]),
+        *(files(n) for n in ("inf_mu.cfg", "bad_key.cfg", "binary.bin",
+                             "folder", "missing.cfg"))))
+    argv += opt("--seed", mostly(st.none() | ints(0, 5), -1))
+    argv += opt("--out", mostly(st.sampled_from([None, "-", files("out.csv")]),
+                                files("missing/out.csv")))
+    if command in ("model", "simulate", "sweep"):
+        argv += opt("--n-samples", mostly(st.none() | ints(1, 1000), 0, -1))
+    if command == "model":
+        argv += opt("--batch", mostly(st.none() | ints(1, 10), 0, 500))
+    if command in ("simulate", "sweep"):
+        argv += opt("--reps", mostly(ints(1, 20), 0))
+        argv += opt("--warmup", mostly(ints(0, 50), -1))
+    if command == "sweep":
+        param = draw(st.sampled_from(cli.SWEEPABLE))
+        lo, hi = {"lambda": (10, 90), "mu": (160, 300), "f": (0, 3),
+                  "n_block": (1, 50)}[param]
+        start = draw(mostly(ints(lo, hi), -5, 0.5, 1e300))
+        step = draw(mostly(ints(1, 30), 0, -1, 0.25))
+        count = draw(mostly(st.sampled_from([1, 3]), -1, 0, 10**9))
+        argv += [f"--param={param}", f"--from={start}",
+                 f"--to={start + count * step}", f"--step={step}"]
+    if command == "optimal-lambda":
+        argv += opt("--grid-step", mostly(
+            st.none() | st.floats(0.05, 50), 0.0, -1.0, 3e-4, 1e-300, 400.0))
+    if command == "fl-run":
+        argv += opt("--data", mostly(
+            st.sampled_from([None, files("ent0.txt"), files("ent0.txt", "ent1.txt")]),
+            files("ent0.txt", "ent3d.txt"), files("bad_label.txt"),
+            files("binary.bin"), files("folder"), files("missing.txt"), ","))
+        argv += opt("--enterprises", mostly(st.none() | ints(1, 4), 0, -1))
+        argv += opt("--samples", mostly(st.none() | ints(10, 60), -1, 2, 3))
+        argv += opt("--features", mostly(st.none() | ints(1, 4), 0))
+        argv += opt("--separation", mostly(st.none() | st.floats(0, 8),
+                                           -1.0, math.nan, math.inf))
+        argv += opt("--holdout", mostly(ints(2, 60), 1, -1))
+        argv += opt("--adversaries", mostly(st.sampled_from([None, "0", "1,2"]),
+                                            "9", "-1", "x"))
+        argv += opt("--cycle-cap", mostly(ints(1, 2), 0, -1))
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=cli_argv())
+@example(argv=["fl-run", "--data={root}/missing.txt", "--cycle-cap=1"])
+@example(argv=["fl-run", "--data={root}/folder", "--cycle-cap=1"])
+def test_no_argv_ends_in_a_traceback(input_files, argv):
+    argv = [arg.replace("{root}", str(input_files)) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    event(f"{argv[0]} exit {code}")
+    if code == 0:
+        # fl-run reports its summary on stderr when the CSV goes to stdout
+        assert lines == [] or (len(lines) == 1 and lines[0].startswith("result="))
+    else:
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith("error: ")

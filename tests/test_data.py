@@ -20,9 +20,11 @@ def test_dataset_validation():
 
 def test_dataset_samples_roundtrip():
     ds = Dataset(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1, -1]), owner=2)
-    back = Dataset.from_samples(list(ds.samples()), owner=2)
-    assert back == ds
-    assert back.owner == 2 and back.dim == 2 and len(back) == 2
+    samples = list(ds.samples())
+    assert samples == [Sample(np.array([1.0, 2.0]), 1),
+                       Sample(np.array([3.0, 4.0]), -1)]
+    assert all(isinstance(s.y, int) for s in samples)
+    assert ds.owner == 2 and ds.dim == 2 and len(ds) == 2
 
 
 def test_gaussian_shape_and_balance():
@@ -114,9 +116,13 @@ def test_samples_file_skips_blank_lines(tmp_path):
     ("", "no samples"),
     ("inf 0.5\n", "label must be -1 or \\+1 on line 1"),
     ("nan 0.5\n", "label must be -1 or \\+1 on line 1"),
+    (b"1 0.5\n\xff\xfe\n", "cannot read .*bad.txt: not UTF-8 text"),
 ])
 def test_samples_file_errors(tmp_path, content, msg):
     path = tmp_path / "bad.txt"
-    path.write_text(content)
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
     with pytest.raises(ValueError, match=msg):
         read_samples(str(path))

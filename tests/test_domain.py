@@ -202,7 +202,8 @@ def test_breakdown_sums_are_derived():
     assert bd.t_commun == 8.0
     assert bd.t_consensus == 12.0
     assert bd.t_total == 28.0
-    assert set(bd.as_dict()) == set(ALL_FIELDS)
+    # every CSV column is readable off a breakdown
+    assert all(isinstance(getattr(bd, name), float) for name in ALL_FIELDS)
 
 
 @given(st.lists(st.floats(0.0, 1e3), min_size=7, max_size=7))

@@ -43,11 +43,6 @@ def test_prepare_phase_pinned():
     assert latency.t_prepare_phase(1, 100.0, 300.0) == pytest.approx(0.03, rel=1e-12)
 
 
-def test_consensus_pinned():
-    p = SystemParams()
-    assert latency.t_consensus(p, 100) == pytest.approx(0.56, rel=1e-12)
-
-
 @pytest.mark.parametrize("lam,expected", [
     (50.0, 0.5),
     (100.0, 0.56),
@@ -66,7 +61,6 @@ def test_total_pinned_breakdown():
     assert bd.t_commun == pytest.approx(3.0025e-2, rel=1e-12)
     assert bd.t_consensus == pytest.approx(0.56, rel=1e-12)
     assert bd.t_total == pytest.approx(0.596025, rel=1e-12)
-    assert bd.b == 100
 
 
 @given(rates, st.integers(1, 500), st.integers(0, 8))

@@ -9,8 +9,7 @@ from fedbft.domain import ALL_FIELDS, SystemParams
 from fedbft.fl import GlobalModel
 from fedbft.sim import (LeaderBatch, RandomStreams, arrival_times, audit_block,
                         run_cycle, run_experiment, run_leader_batching,
-                        run_pbft_round, sample_exponential, _fast_replication,
-                        _pbft_draws)
+                        run_pbft_round, sample_exponential, _fast_replication)
 
 
 # --- random draws ---
@@ -44,6 +43,16 @@ def test_stream_substreams_are_independent():
     c = RandomStreams.for_replication(7, 0)
     d = RandomStreams.for_replication(7, 1)
     assert c.arrivals.random() != d.arrivals.random()
+
+
+@pytest.mark.parametrize("key", [0, 42, (42, 7), (3, 1, 99)])
+def test_streams_are_the_first_three_spawned_children(key):
+    # spawn keys children by index, so these streams match a four-way spawn
+    children = np.random.SeedSequence(key).spawn(4)
+    streams = RandomStreams.from_seed(key)
+    for name, child in zip(("arrivals", "services", "data"), children):
+        assert (getattr(streams, name).bit_generator.state
+                == np.random.default_rng(child).bit_generator.state)
 
 
 # --- leader batching ---
@@ -148,64 +157,34 @@ def unit_batch():
 
 def test_pbft_preprepare_is_block_sojourn_total():
     p = SystemParams()
-    timing = run_pbft_round(p, unit_batch(), RandomStreams.from_seed(0),
-                            faulty=frozenset())
+    timing = run_pbft_round(p, unit_batch(), RandomStreams.from_seed(0))
     assert timing.t_preprepare == 0.25
-    assert timing.committed
 
 
 def test_pbft_phase_times_match_consumed_draws():
     p = SystemParams()
     streams = RandomStreams.from_seed(21)
-    timing = run_pbft_round(p, unit_batch(), streams, faulty=frozenset())
+    timing = run_pbft_round(p, unit_batch(), streams)
     twin = RandomStreams.from_seed(21)
-    gaps_prep, gaps_com, proc_prep, proc_com = _pbft_draws(p, twin)
+    # canonical order: prepare gaps, commit gaps, prepare and commit processing
+    gaps_prep = sample_exponential(p.lam, twin.arrivals, 2 * p.f)
+    gaps_com = sample_exponential(p.lam, twin.arrivals, 2 * p.f)
+    proc_prep = sample_exponential(p.mu, twin.services, 2 * p.f + 1)
+    proc_com = sample_exponential(p.mu, twin.services, 2 * p.f + 1)
     assert timing.t_prepare == pytest.approx(gaps_prep.sum() + proc_prep.sum(),
                                              rel=1e-12)
     assert timing.t_commit == pytest.approx(gaps_com.sum() + proc_com.sum(),
                                             rel=1e-12)
 
 
-def test_pbft_observer_is_lowest_honest_non_leader():
-    p = SystemParams()
-    t1 = run_pbft_round(p, unit_batch(), RandomStreams.from_seed(1),
-                        faulty=frozenset())
-    assert t1.observer == 1
-    t2 = run_pbft_round(p, unit_batch(), RandomStreams.from_seed(1),
-                        faulty={1})
-    assert t2.observer == 2
-    assert t2.faulty == frozenset({1})
-
-
-def test_pbft_fault_budget_enforced():
-    p = SystemParams()
-    with pytest.raises(ValueError, match="peer 0 must be honest"):
-        run_pbft_round(p, unit_batch(), RandomStreams.from_seed(2), faulty={0})
-    with pytest.raises(ValueError, match="quorum unreachable"):
-        run_pbft_round(p, unit_batch(), RandomStreams.from_seed(2),
-                       faulty={1, 2})
-    with pytest.raises(ValueError, match="out of range"):
-        run_pbft_round(p, unit_batch(), RandomStreams.from_seed(2), faulty={9})
-
-
-def test_pbft_drawn_faults_respect_the_budget():
-    p = SystemParams(f=2, n_peers=7)
-    for seed in range(20):
-        timing = run_pbft_round(p, unit_batch(), RandomStreams.from_seed(seed))
-        assert len(timing.faulty) == 2
-        assert 0 not in timing.faulty
-        assert timing.faulty <= set(range(1, 7))
-        assert timing.observer not in timing.faulty
-
-
 def test_pbft_single_peer_degenerate_case():
     p = SystemParams(f=0, n_peers=1)
     streams = RandomStreams.from_seed(3)
-    timing = run_pbft_round(p, unit_batch(), streams, faulty=frozenset())
+    timing = run_pbft_round(p, unit_batch(), streams)
     # no votes to wait for; each phase is one processing draw
     twin = RandomStreams.from_seed(3)
-    _, _, proc_prep, proc_com = _pbft_draws(p, twin)
-    assert timing.observer == 0
+    proc_prep = sample_exponential(p.mu, twin.services, 1)
+    proc_com = sample_exponential(p.mu, twin.services, 1)
     assert timing.t_prepare == pytest.approx(proc_prep.sum(), rel=1e-12)
     assert timing.t_commit == pytest.approx(proc_com.sum(), rel=1e-12)
 
@@ -214,8 +193,7 @@ def test_pbft_phase_mean_tracks_formula():
     p = SystemParams()
     expected = 2 * p.f / p.lam + (2 * p.f + 1) / p.mu
     vals = np.array([
-        run_pbft_round(p, unit_batch(), RandomStreams.from_seed((4, i)),
-                       faulty=frozenset()).t_prepare
+        run_pbft_round(p, unit_batch(), RandomStreams.from_seed((4, i))).t_prepare
         for i in range(3000)
     ])
     assert vals.mean() == pytest.approx(expected, rel=0.03)
@@ -227,7 +205,7 @@ def public_replication(p, streams, warmup):
     n = warmup + p.n_block
     arrivals = arrival_times(p.lam, n, streams.arrivals)
     batch = run_leader_batching(p, arrivals, streams.services, first_tx=warmup)
-    timing = run_pbft_round(p, batch, streams, faulty=frozenset())
+    timing = run_pbft_round(p, batch, streams)
     return batch.b, timing.t_preprepare, timing.t_prepare, timing.t_commit
 
 

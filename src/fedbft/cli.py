@@ -67,6 +67,21 @@ def _check_writable(out: Optional[str]) -> None:
         os.remove(out)
 
 
+def _master_seed(args) -> int:
+    """The --seed of a command that seeds streams from it."""
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    return args.seed
+
+
+def _adversary_ids(text: Optional[str]) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",") if s] if text else []
+    except ValueError:
+        raise ValueError("--adversaries must be comma-separated enterprise "
+                         f"ids, got {text!r}") from None
+
+
 def parse_config(path: Optional[str]) -> SystemParams:
     """Load a key=value config file; no path means all defaults."""
     if path is None:
@@ -137,7 +152,8 @@ def cmd_model(args) -> int:
 
 def cmd_simulate(args) -> int:
     p = parse_config(args.config)
-    stats = run_experiment(p, args.reps, args.seed, n_samples=args.n_samples,
+    stats = run_experiment(p, args.reps, _master_seed(args),
+                           n_samples=args.n_samples,
                            warmup=args.warmup, config_id=f"lambda={p.lam:g}")
     se = stats.std_err or {}
     rows = [[stats.config_id, stats.replications, name, stats.mean[name],
@@ -151,7 +167,7 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     base = parse_config(args.config)
     spec = SweepSpec(args.param, args.start, args.stop, args.step,
-                     reps=args.reps, master_seed=args.seed)
+                     reps=args.reps, master_seed=_master_seed(args))
     values = sweep_values(spec)
     points = [_point_params(base, spec.param, v) for v in values]  # fail fast
     rows = []
@@ -216,10 +232,9 @@ def _load_enterprises(args, streams: RandomStreams):
 
 def cmd_fl_run(args) -> int:
     p = parse_config(args.config)
-    streams = RandomStreams.from_seed(args.seed)
+    streams = RandomStreams.from_seed(_master_seed(args))
+    adversaries = _adversary_ids(args.adversaries)
     enterprises, holdout = _load_enterprises(args, streams)
-    adversaries = [int(s) for s in args.adversaries.split(",") if s] \
-        if args.adversaries else []
     for a in adversaries:
         if not 0 <= a < len(enterprises):
             raise ValueError(f"adversary id {a} out of range")

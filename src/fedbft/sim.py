@@ -1,19 +1,25 @@
 """Seeded simulation of the batching and consensus pipeline.
 
 Transactions arrive at the leader with exponential gaps and are served FIFO
-at an exponential rate.  One kernel, ``_serve``, computes every departure
-with Lindley's recurrence D_i = max(A_i, D_{i-1}) + S_i, written as a running
-maximum over the cumulative service, and applies the seal rule: a block
-closes at the earlier of n_block served transactions or tau after the
+at an exponential rate.  One kernel, ``_serve``, computes the departures of
+a (rows, n) matrix of streams at once with Lindley's recurrence
+D_i = max(A_i, D_{i-1}) + S_i, written as a running maximum over the
+cumulative service along each row, and applies the seal rule row by row: a
+block closes at the earlier of n_block served transactions or tau after the
 cycle's first arrival, never before the first completion, and a stream that
 runs out first flushes what has been served.  The voting round is timed at
 an honest peer as the sum of its vote gaps and message processing draws
-(``_phase_times``).
+(``_phase_sums``).
 
-``run_cycle`` drives one training cycle through that pipeline and
-``run_training`` repeats cycles until the stop rule.  ``run_experiment``
-replicates the pipeline from per-replication substreams and sets the
-measured delays beside the formula predictions.
+``run_cycle`` drives one training cycle through that pipeline, one stream
+at a time, and ``run_training`` repeats cycles until the stop rule.
+``run_experiment`` replicates the pipeline and sets the measured delays
+beside the formula predictions.  Replication r reads the arrivals and
+services children of ``SeedSequence(key + (r,))``; it seeds them for a
+block of replications at once with numpy's seed hash recomputed on uint32
+arrays (``fedbft.seeding``), draws each stream once, and serves a
+chunk of replications per kernel call.  Every draw is the one the
+per-replication streams would give, so the output is the same bit for bit.
 """
 from __future__ import annotations
 
@@ -30,6 +36,7 @@ from .fl import (GlobalModel, accuracy, aggregate_global, global_full_gradient,
                  has_converged, pooled_mean_loss, svrg_local_cycle,
                  verify_update)
 from . import latency
+from .seeding import pcg64_state, replication_seeds
 
 __all__ = [
     "RandomStreams", "sample_exponential", "arrival_times",
@@ -59,8 +66,12 @@ class RandomStreams:
 
     @classmethod
     def for_replication(cls, master_seed, rep: int) -> "RandomStreams":
-        key = (master_seed,) if isinstance(master_seed, int) else tuple(master_seed)
+        key = _replication_key(master_seed)
         return cls._from_seed_seq(np.random.SeedSequence(key + (rep,)))
+
+
+def _replication_key(master_seed) -> tuple:
+    return (master_seed,) if isinstance(master_seed, int) else tuple(master_seed)
 
 
 def sample_exponential(rate: float, rng: np.random.Generator, size=None):
@@ -68,7 +79,7 @@ def sample_exponential(rate: float, rng: np.random.Generator, size=None):
     if not rate > 0:
         raise ValueError("rate must be positive")
     u = rng.random(size)
-    return -np.log1p(-u) / rate
+    return np.log1p(-u) / -rate
 
 
 def arrival_times(lam: float, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -98,30 +109,36 @@ class LeaderBatch:
 
 
 def _serve(p: SystemParams, arrivals: np.ndarray, services: np.ndarray,
-           first_tx: int) -> LeaderBatch:
+           first_tx: int):
     """FIFO departures and the seal rule: the simulator's one queue kernel.
 
-    D_i = max(A_i, D_{i-1}) + S_i is evaluated as C_i + max_{j<=i}(A_j - C_j
-    + S_j), with C the cumulative service time.  The block starts at
-    ``first_tx`` and seals at its n_block-th departure if that comes no
-    later than tau after its first arrival; otherwise at that timeout with
-    the transactions served by then, or at the first departure if none
-    was; with no timeout, a stream too short to fill it seals at its last
-    departure.
+    Each row of the (rows, n) ``arrivals`` and ``services`` is one stream.
+    D_i = max(A_i, D_{i-1}) + S_i is evaluated along each row as C_i +
+    max_{j<=i}(A_j - C_j + S_j), with C the cumulative service time.  A
+    row's block starts at ``first_tx`` and seals at its n_block-th departure
+    if that comes no later than tau after its first arrival; otherwise at
+    that timeout with the transactions served by then, or at the first
+    departure if none was; with no timeout, a stream too short to fill it
+    seals at its last departure.  Returns per-row b, seal time and timeout
+    flag, and the (rows, n) departures.
     """
-    C = np.cumsum(services)
-    D = C + np.maximum.accumulate(arrivals - C + services)
-    cycle = D[first_tx:]
-    timeout_at = arrivals[first_tx] + p.tau
-    if cycle.size >= p.n_block and cycle[p.n_block - 1] <= timeout_at:
-        b, seal_time, timed_out = p.n_block, cycle[p.n_block - 1], False
-    elif math.isfinite(timeout_at):
-        served = int(np.searchsorted(cycle, timeout_at, side="right"))
-        b, timed_out = max(served, 1), True
-        seal_time = timeout_at if served else cycle[0]
+    C = np.cumsum(services, axis=1)
+    D = C + np.maximum.accumulate(arrivals - C + services, axis=1)
+    cycle = D[:, first_tx:]
+    timeout_at = arrivals[:, first_tx] + p.tau
+    finite = np.isfinite(timeout_at)
+    # departures never decrease along a row, so this is a searchsorted
+    served = (cycle <= timeout_at[:, None]).sum(axis=1)
+    if cycle.shape[1] >= p.n_block:
+        filled_at = cycle[:, p.n_block - 1]
+        full = filled_at <= timeout_at
     else:
-        b, seal_time, timed_out = cycle.size, D[-1], False
-    return LeaderBatch(b, float(seal_time), first_tx, D - arrivals, timed_out)
+        filled_at, full = timeout_at, np.zeros(finite.shape, dtype=bool)
+    b = np.where(full, p.n_block,
+                 np.where(finite, np.maximum(served, 1), cycle.shape[1]))
+    seal_time = np.where(full, filled_at, np.where(
+        finite, np.where(served > 0, timeout_at, cycle[:, 0]), D[:, -1]))
+    return b, seal_time, ~full & finite, D
 
 
 def run_leader_batching(
@@ -147,7 +164,10 @@ def run_leader_batching(
         raise ValueError("arrival times must be nondecreasing and >= 0")
     if not 0 <= first_tx < n:
         raise ValueError("first_tx out of range")
-    return _serve(p, arrivals, sample_exponential(p.mu, rng, n), first_tx)
+    b, seal_time, timed_out, D = _serve(
+        p, arrivals[None], sample_exponential(p.mu, rng, n)[None], first_tx)
+    return LeaderBatch(int(b[0]), float(seal_time[0]), first_tx,
+                       D[0] - arrivals, bool(timed_out[0]))
 
 
 @dataclass(frozen=True)
@@ -159,18 +179,16 @@ class ConsensusTiming:
     t_commit: float
 
 
-def _phase_times(p: SystemParams, streams: "RandomStreams") -> tuple[float, float]:
-    """(t_prepare, t_commit): each phase's vote gaps plus its processing draws.
+def _phase_sums(p: SystemParams, gaps: np.ndarray, procs: np.ndarray):
+    """Per-row (t_prepare, t_commit): each phase's vote gaps plus its
+    processing draws, from (rows, 4f) gaps and (rows, 2(2f+1)) processing
+    draws.
 
     Draw order: prepare gaps, commit gaps, prepare processing, commit processing.
     """
     twof = 2 * p.f
-    gaps_prep = sample_exponential(p.lam, streams.arrivals, twof)
-    gaps_com = sample_exponential(p.lam, streams.arrivals, twof)
-    proc_prep = sample_exponential(p.mu, streams.services, twof + 1)
-    proc_com = sample_exponential(p.mu, streams.services, twof + 1)
-    return (float(gaps_prep.sum() + proc_prep.sum()),
-            float(gaps_com.sum() + proc_com.sum()))
+    return (gaps[:, :twof].sum(axis=1) + procs[:, :twof + 1].sum(axis=1),
+            gaps[:, twof:].sum(axis=1) + procs[:, twof + 1:].sum(axis=1))
 
 
 def run_pbft_round(
@@ -185,7 +203,11 @@ def run_pbft_round(
     works through the 2f+1 matching messages at exponential(mu) apiece.
     Which f peers are faulty does not change that sum.
     """
-    return ConsensusTiming(batch.block_sojourn_total, *_phase_times(p, streams))
+    gaps = sample_exponential(p.lam, streams.arrivals, 4 * p.f)
+    procs = sample_exponential(p.mu, streams.services, 2 * (2 * p.f + 1))
+    prepare, commit = _phase_sums(p, gaps[None], procs[None])
+    return ConsensusTiming(batch.block_sojourn_total, float(prepare[0]),
+                           float(commit[0]))
 
 
 def _passes_verification(
@@ -325,17 +347,71 @@ def audit_block(
                for tx in block.txs)
 
 
-def _fast_replication(p: SystemParams, streams: "RandomStreams", warmup: int):
-    """One replication: warmup + n_block arrivals through the queue, the
-    block from index ``warmup`` on, then its voting round.  Draws what
-    run_leader_batching and run_pbft_round would draw, without their input
-    checks.  Returns (b, preprepare, prepare, commit).
+# replications seeded per kernel call, and queue-matrix elements per
+# ``_serve`` call; the output does not depend on either
+_SEED_BLOCK = 1024
+_CHUNK_ELEMENTS = 1 << 13
+MAX_REPS = 1_000_000
+MAX_WARMUP = 1_000_000
+
+
+def _replicate(p: SystemParams, warmup: int, streams: "RandomStreams",
+               seeds: np.ndarray) -> np.ndarray:
+    """(b, preprepare, prepare, commit) of one chunk of replications.
+
+    Each replication loads its arrivals and services seeds (rows of
+    ``replication_seeds``) into the two Generators of ``streams`` and
+    draws each stream once: warmup + n_block interarrival gaps then 4f
+    vote gaps, and warmup + n_block services then 2(2f+1) processing
+    draws -- the values run_leader_batching and run_pbft_round draw in
+    turn.  The block starts at index ``warmup``.
     """
     n = warmup + p.n_block
-    arrivals = arrival_times(p.lam, n, streams.arrivals)
-    batch = _serve(p, arrivals, sample_exponential(p.mu, streams.services, n),
-                   warmup)
-    return (batch.b, batch.block_sojourn_total, *_phase_times(p, streams))
+    gaps = np.empty((len(seeds), n + 4 * p.f))
+    services = np.empty((len(seeds), n + 2 * (2 * p.f + 1)))
+    for row, (arrivals_seed, services_seed) in enumerate(seeds.tolist()):
+        streams.arrivals.bit_generator.state = pcg64_state(*arrivals_seed)
+        streams.services.bit_generator.state = pcg64_state(*services_seed)
+        gaps[row] = sample_exponential(p.lam, streams.arrivals, gaps.shape[1])
+        services[row] = sample_exponential(p.mu, streams.services,
+                                           services.shape[1])
+    arrivals = np.cumsum(gaps[:, :n], axis=1)
+    b, _, _, D = _serve(p, arrivals, services[:, :n], warmup)
+    sojourns = D[:, warmup:] - arrivals[:, warmup:]
+    out = np.empty((len(seeds), 4))
+    out[:, 0] = b
+    out[:, 1] = [sojourns[row, :size].sum() for row, size in enumerate(b)]
+    out[:, 2], out[:, 3] = _phase_sums(p, gaps[:, n:], services[:, n:])
+    return out
+
+
+def _replication_draws(p: SystemParams, replications: int, master_seed,
+                       warmup: int) -> np.ndarray:
+    """(replications, 4) rows of (b, preprepare, prepare, commit).
+
+    Replication r reads what ``RandomStreams.for_replication(master_seed,
+    r)`` would give.  The seeds come from ``replication_seeds`` a block at
+    a time.  Each block builds its first replication's streams through
+    numpy, checks them against the kernel's first seeds, and then reuses
+    their two Generators for every replication of the block.
+    """
+    key = _replication_key(master_seed)
+    width = warmup + p.n_block + 4 * p.f + 2
+    rows = max(1, _CHUNK_ELEMENTS // width)
+    draws = np.empty((replications, 4))
+    for first in range(0, replications, _SEED_BLOCK):
+        seeds = replication_seeds(
+            key, first, min(_SEED_BLOCK, replications - first))
+        streams = RandomStreams.for_replication(master_seed, first)
+        if [pcg64_state(*words) for words in seeds[0].tolist()] != [
+                streams.arrivals.bit_generator.state,
+                streams.services.bit_generator.state]:
+            raise RuntimeError("seed kernel disagrees with numpy's SeedSequence")
+        for lo in range(0, len(seeds), rows):
+            chunk = seeds[lo:lo + rows]
+            draws[first + lo:first + lo + len(chunk)] = _replicate(
+                p, warmup, streams, chunk)
+    return draws
 
 
 def _stat_row(values: np.ndarray) -> tuple[float, float]:
@@ -365,17 +441,18 @@ def run_experiment(
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
+    if replications > MAX_REPS:
+        raise ValueError(f"replications must be <= {MAX_REPS}")
     if warmup < 0:
         raise ValueError("warmup must be >= 0")
+    if warmup > MAX_WARMUP:
+        raise ValueError(f"warmup must be <= {MAX_WARMUP}")
     t_local = latency.t_local_update(p.delta_d, n_samples, p.f_c)
     t_up = latency.t_upload(p.delta_m, p.w_up, p.gamma_up)
     t_global = latency.t_global_update(p.delta_m, p.n_block, p.f_c)
 
-    draws = np.empty((replications, 4))
-    for r in range(replications):
-        streams = RandomStreams.for_replication(master_seed, r)
-        draws[r] = _fast_replication(p, streams, warmup)
-    bs, pre, prep, com = draws.T
+    bs, pre, prep, com = _replication_draws(p, replications, master_seed,
+                                            warmup).T
 
     dn_of_b = {b: latency.t_download(p.h, int(b), p.delta_m, p.w_dn, p.gamma_dn)
                for b in np.unique(bs)}

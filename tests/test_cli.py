@@ -263,6 +263,39 @@ def test_fl_run_rejects_bad_adversary_id(capsys):
     assert "error: adversary id 9 out of range" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--reps", "2"],
+    ["sweep", "--param", "lambda", "--from", "50", "--to", "100", "--step", "50",
+     "--reps", "2"],
+    ["fl-run", "--samples", "40", "--cycle-cap", "1"],
+])
+def test_negative_seed_names_the_flag(command, capsys):
+    code, out, err = run_cli([*command, "--seed", "-1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: --seed must be >= 0, got -1\n"
+
+
+def test_fl_run_rejects_non_integer_adversary_ids(capsys):
+    code, out, err = run_cli(["fl-run", "--samples", "40", "--adversaries", "1,x",
+                              "--cycle-cap", "1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == ("error: --adversaries must be comma-separated enterprise "
+                   "ids, got '1,x'\n")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--reps", "1000000000000000"], "replications must be <= 1000000"),
+    (["--warmup", "100000000000", "--reps", "1"], "warmup must be <= 1000000"),
+])
+def test_simulate_caps_reps_and_warmup(flags, message, capsys):
+    code, out, err = run_cli(["simulate", *flags], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_fl_run_rejects_zero_enterprises(capsys):
     code, out, err = run_cli(["fl-run", "--enterprises", "0"], capsys)
     assert code == 1
@@ -351,7 +384,7 @@ def test_bad_n_samples_fails_before_any_replication(command, capsys,
                                                     monkeypatch):
     def no_replication(*args, **kwargs):
         raise AssertionError("a replication ran before n_samples was checked")
-    monkeypatch.setattr(sim, "_fast_replication", no_replication)
+    monkeypatch.setattr(sim, "_serve", no_replication)
     code, out, err = run_cli([*command, "--n-samples", "0"], capsys)
     assert code == 1
     assert out == ""
@@ -461,8 +494,8 @@ def cli_argv(draw):
     if command == "model":
         argv += opt("--batch", mostly(st.none() | ints(1, 10), 0, 500))
     if command in ("simulate", "sweep"):
-        argv += opt("--reps", mostly(ints(1, 20), 0))
-        argv += opt("--warmup", mostly(ints(0, 50), -1))
+        argv += opt("--reps", mostly(ints(1, 20), 0, 10**15))
+        argv += opt("--warmup", mostly(ints(0, 50), -1, 10**11))
     if command == "sweep":
         param = draw(st.sampled_from(cli.SWEEPABLE))
         lo, hi = {"lambda": (10, 90), "mu": (160, 300), "f": (0, 3),

@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from fedbft import seeding, sim
 from fedbft.data import two_class_gaussian, split_dataset
 from fedbft.domain import ALL_FIELDS, SystemParams
 from fedbft.fl import GlobalModel
 from fedbft.sim import (LeaderBatch, RandomStreams, arrival_times, audit_block,
                         run_cycle, run_experiment, run_leader_batching,
-                        run_pbft_round, sample_exponential, _fast_replication)
+                        run_pbft_round, sample_exponential, _replication_draws)
+from fedbft.seeding import pcg64_state, replication_seeds
 
 
 # --- random draws ---
@@ -90,6 +92,18 @@ def test_batching_timeout_waits_for_first_completion():
     batch = run_leader_batching(p, arr, np.random.default_rng(8))
     assert batch.b == 1
     assert batch.timed_out
+
+
+def test_batching_timeout_after_one_completion_seals_at_the_timeout():
+    arr = arrival_times(100.0, 5, np.random.default_rng(7))
+    untimed = run_leader_batching(full_params(tau=math.inf), arr,
+                                  np.random.default_rng(8))
+    departures = arr + untimed.sojourns
+    p = full_params(tau=(departures[0] + departures[1]) / 2 - arr[0])
+    batch = run_leader_batching(p, arr, np.random.default_rng(8))
+    assert batch.b == 1
+    assert batch.timed_out
+    assert batch.seal_time == arr[0] + p.tau
 
 
 def test_batching_short_stream_waits_out_finite_tau():
@@ -209,16 +223,62 @@ def public_replication(p, streams, warmup):
     return batch.b, timing.t_preprepare, timing.t_prepare, timing.t_commit
 
 
-@pytest.mark.parametrize("warmup", [0, 50])
-@pytest.mark.parametrize("tau", [10.0, 0.2])
+@pytest.mark.parametrize("warmup", [0, 3, 50, 1000])
+@pytest.mark.parametrize("tau", [10.0, 0.2, 0.005, math.inf])
 def test_fast_replication_equals_event_driven(warmup, tau):
-    p = SystemParams(tau=tau)
-    for seed in range(8):
-        fast = _fast_replication(p, RandomStreams.for_replication(seed, 0),
-                                 warmup)
-        slow = public_replication(p, RandomStreams.for_replication(seed, 0),
-                                  warmup)
-        assert fast == slow
+    # the batched replication path draws, bit for bit, what the public
+    # one-stream entry points draw from each replication's own streams
+    reps = 5 if warmup == 1000 else 12
+    for f, key in ((0, 3), (1, (42, 7)), (3, 11), (5, (0, 2))):
+        p = SystemParams(tau=tau, f=f, n_peers=3 * f + 1)
+        batched = _replication_draws(p, reps, key, warmup)
+        public = [public_replication(p, RandomStreams.for_replication(key, r),
+                                     warmup) for r in range(reps)]
+        np.testing.assert_array_equal(batched, np.array(public))
+
+
+@pytest.mark.parametrize("block, rows", [
+    (1, 1), (1, 7), (1, 2), (7, 1), (7, 7), (7, 8), (1024, 1), (1024, 7),
+    (1024, 1025)])
+def test_experiment_does_not_depend_on_block_or_chunk_size(monkeypatch, block,
+                                                           rows):
+    p = SystemParams(tau=0.2)
+    expected = run_experiment(p, 23, 5, warmup=3)
+    monkeypatch.setattr(sim, "_SEED_BLOCK", block)
+    monkeypatch.setattr(sim, "_CHUNK_ELEMENTS",
+                        rows * (3 + p.n_block + 4 * p.f + 2))
+    assert run_experiment(p, 23, 5, warmup=3) == expected
+
+
+@pytest.mark.parametrize("key", [
+    0, 42, 2**32 - 1, 2**32, 2**64 + 5,
+    (7,), (42, 7), (3, 1, 99), (1, 2, 3, 4), (5, 4, 3, 2, 1)])
+def test_seed_kernel_matches_numpy_seeding(key):
+    key = (key,) if isinstance(key, int) else key
+    for first, count in ((0, 2), (1023, 2), (9999, 1)):
+        seeds = replication_seeds(key, first, count)
+        assert seeds.shape == (count, 2, 4)
+        for rep, row in enumerate(seeds.tolist(), start=first):
+            children = np.random.SeedSequence(key + (rep,)).spawn(3)
+            for words, child in zip(row, children):
+                assert (pcg64_state(*words)
+                        == np.random.default_rng(child).bit_generator.state)
+
+
+def test_seed_kernel_rejects_what_numpy_rejects():
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        replication_seeds((-1,), 0, 1)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        run_experiment(SystemParams(), 2, (4, -1), warmup=0)
+    for bad in (1.5, math.inf, math.nan):
+        with pytest.raises(TypeError, match="seed must be integer"):
+            replication_seeds((3, bad), 0, 1)
+
+
+def test_experiment_checks_the_seed_kernel_against_numpy(monkeypatch):
+    monkeypatch.setattr(seeding, "_MIX_L", seeding._MIX_L ^ 1)
+    with pytest.raises(RuntimeError, match="seed kernel disagrees"):
+        run_experiment(SystemParams(), 2, 0, warmup=0)
 
 
 def test_stationary_sojourn_matches_theory():
@@ -340,6 +400,17 @@ def test_experiment_is_deterministic_in_the_seed():
     a = run_experiment(SystemParams(), 20, 99, warmup=20)
     b = run_experiment(SystemParams(), 20, 99, warmup=20)
     assert a == b
+
+
+@pytest.mark.parametrize("reps, warmup, message", [
+    (10**15, 0, "replications must be <= 1000000"),
+    (1, 10**11, "warmup must be <= 1000000"),
+])
+def test_experiment_caps_reps_and_warmup_before_allocating(reps, warmup,
+                                                          message):
+    # both once ended in a MemoryError from numpy
+    with pytest.raises(ValueError, match=message):
+        run_experiment(SystemParams(), reps, 0, warmup=warmup)
 
 
 def test_experiment_converges_toward_formula():

@@ -19,7 +19,7 @@ from . import latency
 from .data import (Dataset, read_samples, read_text, split_dataset,
                    two_class_gaussian)
 from .domain import ALL_FIELDS, DEFAULT_PARAMS, SystemParams, parse_params_text
-from .sim import RandomStreams, run_experiment, run_training
+from .sim import RandomStreams, check_experiment, run_experiment, run_training
 
 __all__ = [
     "main", "parse_config", "format_value", "write_csv",
@@ -29,6 +29,8 @@ __all__ = [
 SWEEPABLE = ("lambda", "f", "n_block", "mu")
 _INT_PARAMS = {"f", "n_block"}
 MAX_SWEEP_POINTS = 10_000
+# feature values fl-run may synthesize in all, about 130 MB
+MAX_SYNTHETIC_VALUES = 1 << 24
 
 
 def format_value(value) -> str:
@@ -170,6 +172,8 @@ def cmd_sweep(args) -> int:
                      reps=args.reps, master_seed=_master_seed(args))
     values = sweep_values(spec)
     points = [_point_params(base, spec.param, v) for v in values]  # fail fast
+    for p in points:
+        check_experiment(p, spec.reps, args.warmup)
     rows = []
     for idx, (value, p) in enumerate(zip(values, points)):
         stats = run_experiment(p, spec.reps, (spec.master_seed, idx),
@@ -206,6 +210,18 @@ def cmd_optimal_lambda(args) -> int:
     return 0
 
 
+def _check_synthetic_size(args) -> None:
+    """Cap the synthetic data sizes before any of it is drawn."""
+    for flag in ("enterprises", "samples", "holdout", "features"):
+        if getattr(args, flag) > MAX_SYNTHETIC_VALUES:
+            raise ValueError(f"--{flag} must be <= {MAX_SYNTHETIC_VALUES}, "
+                             f"got {getattr(args, flag)}")
+    total = (args.enterprises * args.samples + args.holdout) * args.features
+    if total > MAX_SYNTHETIC_VALUES:
+        raise ValueError("(--enterprises x --samples + --holdout) x --features "
+                         f"must be <= {MAX_SYNTHETIC_VALUES}, got {total}")
+
+
 def _load_enterprises(args, streams: RandomStreams):
     """Build per-enterprise train/test splits plus a held-out set."""
     if args.data is not None:
@@ -221,6 +237,7 @@ def _load_enterprises(args, streams: RandomStreams):
         holdout = Dataset(np.vstack([d.x for d in holdout_parts]),
                           np.concatenate([d.y for d in holdout_parts]))
         return enterprises, holdout
+    _check_synthetic_size(args)
     datasets = [two_class_gaussian(args.samples, args.features,
                                    args.separation, streams.data, owner=i)
                 for i in range(args.enterprises)]
@@ -269,12 +286,16 @@ def build_parser() -> argparse.ArgumentParser:
                     help="local samples per enterprise")
     sp.set_defaults(func=cmd_model)
 
+    def replicated(sp):
+        sp.add_argument("--reps", type=int, default=1000)
+        sp.add_argument("--n-samples", type=int, default=500)
+        sp.add_argument("--warmup", type=int, default=0,
+                        help="transactions served ahead of each measured "
+                             "block; the queue starts stationary without any")
+
     sp = sub.add_parser("simulate", help="replicate the consensus pipeline")
     common(sp)
-    sp.add_argument("--reps", type=int, default=1000)
-    sp.add_argument("--n-samples", type=int, default=500)
-    sp.add_argument("--warmup", type=int, default=1000,
-                    help="queue warm-up transactions per replication")
+    replicated(sp)
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("sweep", help="sweep one parameter across a grid")
@@ -283,9 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--from", dest="start", type=float, required=True)
     sp.add_argument("--to", dest="stop", type=float, required=True)
     sp.add_argument("--step", type=float, required=True)
-    sp.add_argument("--reps", type=int, default=1000)
-    sp.add_argument("--n-samples", type=int, default=500)
-    sp.add_argument("--warmup", type=int, default=1000)
+    replicated(sp)
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("optimal-lambda",

@@ -2,18 +2,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
-
-from .domain import Sample
 
 __all__ = [
     "Dataset",
     "EnterpriseData",
     "two_class_gaussian",
     "split_dataset",
-    "write_samples",
     "read_text",
     "read_samples",
 ]
@@ -56,10 +52,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.x.shape[1]
-
-    def samples(self) -> Iterator[Sample]:
-        for i in range(len(self)):
-            yield Sample(self.x[i], int(self.y[i]))
 
 
 @dataclass(frozen=True)
@@ -121,14 +113,6 @@ def split_dataset(ds: Dataset, test_fraction: float = 0.2) -> EnterpriseData:
     )
 
 
-def write_samples(path: str, ds: Dataset) -> None:
-    """Write one sample per line: the label then the feature values."""
-    with open(path, "w", newline="\n") as fh:
-        for i in range(len(ds)):
-            coords = " ".join(repr(float(v)) for v in ds.x[i])
-            fh.write(f"{int(ds.y[i])} {coords}\n")
-
-
 def read_text(path: str, what: str = "") -> str:
     """A whole UTF-8 text file; failing to read it is a ValueError naming it."""
     try:
@@ -142,7 +126,7 @@ def read_text(path: str, what: str = "") -> str:
 
 
 def read_samples(path: str, owner: int = 0) -> Dataset:
-    """Parse the plain-text samples format written by write_samples."""
+    """Parse plain-text samples: one per line, the label then the feature values."""
     rows: list[list[float]] = []
     labels: list[int] = []
     for lineno, raw in enumerate(read_text(path).splitlines(), start=1):

@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "SystemParams",
     "DEFAULT_PARAMS",
-    "CONFIG_KEYS",
     "Sample",
     "LocalUpdateTx",
     "Block",
@@ -30,7 +29,6 @@ __all__ = [
     "tx_payload_bytes",
     "tx_digest",
     "parse_params_text",
-    "params_to_text",
 ]
 
 # Integer-valued configuration fields; everything else parses as float.
@@ -44,6 +42,10 @@ _ATTR_TO_KEY = {v: k for k, v in _KEY_TO_ATTR.items()}
 # Fields where +inf has a meaning: tau=inf never seals on the timeout, and
 # epsilon=inf stops training after one cycle.  Every other field must be finite.
 _INF_ALLOWED = frozenset({"tau", "epsilon"})
+
+# Bounds that keep the draws of one simulated stream within memory.
+MAX_N_BLOCK = 1_000_000
+MAX_F = 100_000
 
 
 @dataclass(frozen=True)
@@ -96,10 +98,14 @@ def validate_params(p: SystemParams) -> SystemParams:
         raise ValueError("lambda must be < mu")
     if p.f < 0:
         raise ValueError("f must be >= 0")
+    if p.f > MAX_F:
+        raise ValueError(f"f must be <= {MAX_F}")
     if p.n_peers != 3 * p.f + 1:
         raise ValueError("n_peers must equal 3f+1")
     if p.n_block < 1:
         raise ValueError("n_block must be >= 1")
+    if p.n_block > MAX_N_BLOCK:
+        raise ValueError(f"n_block must be <= {MAX_N_BLOCK}")
     if not p.tau > 0:
         raise ValueError("tau must be positive")
     for name in ("delta_m", "delta_d", "h", "f_c", "w_up", "w_dn",
@@ -118,8 +124,6 @@ def validate_params(p: SystemParams) -> SystemParams:
 
 
 DEFAULT_PARAMS = SystemParams()
-
-CONFIG_KEYS = tuple(_ATTR_TO_KEY.get(f.name, f.name) for f in fields(SystemParams))
 
 
 def parse_params_text(text: str) -> SystemParams:
@@ -151,16 +155,6 @@ def parse_params_text(text: str) -> SystemParams:
                 f"invalid value '{value}' for key '{key}' on line {lineno}"
             ) from None
     return SystemParams(**seen)
-
-
-def params_to_text(p: SystemParams) -> str:
-    """Serialize to the flat key=value form accepted by parse_params_text."""
-    lines = []
-    for field in fields(SystemParams):
-        key = _ATTR_TO_KEY.get(field.name, field.name)
-        value = getattr(p, field.name)
-        lines.append(f"{key}={value!r}" if isinstance(value, float) else f"{key}={value}")
-    return "\n".join(lines) + "\n"
 
 
 def _frozen_array(values: Sequence[float] | np.ndarray) -> np.ndarray:

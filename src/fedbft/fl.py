@@ -29,7 +29,6 @@ __all__ = [
     "global_full_gradient",
     "svrg_local_cycle",
     "aggregate_global",
-    "classify",
     "accuracy",
     "verify_update",
     "has_converged",
@@ -196,14 +195,6 @@ def aggregate_global(w_prev: np.ndarray, txs: Sequence[LocalUpdateTx]) -> np.nda
     for tx in txs:
         out += (tx.n_samples / total) * (tx.weights - w_prev)
     return out
-
-
-def classify(w: np.ndarray, x: np.ndarray) -> int:
-    """Predicted label -sign(w.x); the boundary w.x = 0 yields -1."""
-    w = np.asarray(w)
-    x = np.asarray(x)
-    _check_dims(w, x)
-    return -1 if float(np.dot(w, x)) >= 0 else 1
 
 
 def accuracy(w: np.ndarray, ds: Dataset) -> float:

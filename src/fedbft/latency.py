@@ -25,7 +25,6 @@ __all__ = [
     "t_preprepare",
     "t_prepare_phase",
     "consensus_closed_form",
-    "consensus_slope",
     "t_total",
     "optimal_lambda",
     "argmin_consensus_grid",
@@ -119,17 +118,6 @@ def consensus_closed_form(b: int, f: int, lam: float, mu: float) -> float:
     if f < 0:
         raise ValueError("f must be >= 0")
     return ((b - 4 * f) * lam + 4 * f * mu) / (lam * (mu - lam)) + (4 * f + 2) / mu
-
-
-def consensus_slope(lam: float, f: int, n_block: int, mu: float) -> float:
-    """d/d lambda of the full-block consensus delay.
-
-    Differentiating b/(mu-lam) + 4f/lam + (4f+2)/mu at b = n_block gives
-    ((n_block - 4f) lam^2 + 8 f mu lam - 4 f mu^2) / (lam^2 (mu - lam)^2).
-    """
-    _require_rates(lam, mu)
-    num = (n_block - 4 * f) * lam ** 2 + 8 * f * mu * lam - 4 * f * mu ** 2
-    return num / (lam ** 2 * (mu - lam) ** 2)
 
 
 def t_total(p: SystemParams, n_i: int, b: int) -> LatencyBreakdown:

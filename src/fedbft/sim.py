@@ -14,12 +14,9 @@ an honest peer as the sum of its vote gaps and message processing draws
 ``run_cycle`` drives one training cycle through that pipeline, one stream
 at a time, and ``run_training`` repeats cycles until the stop rule.
 ``run_experiment`` replicates the pipeline and sets the measured delays
-beside the formula predictions.  Replication r reads the arrivals and
-services children of ``SeedSequence(key + (r,))``; it seeds them for a
-block of replications at once with numpy's seed hash recomputed on uint32
-arrays (``fedbft.seeding``), draws each stream once, and serves a
-chunk of replications per kernel call.  Every draw is the one the
-per-replication streams would give, so the output is the same bit for bit.
+beside the formula predictions.  Each replication starts the queue in its
+exact stationary state, and each chunk of 256 replications reads one pair
+of streams; README "Determinism" sets out that contract.
 """
 from __future__ import annotations
 
@@ -36,14 +33,13 @@ from .fl import (GlobalModel, accuracy, aggregate_global, global_full_gradient,
                  has_converged, pooled_mean_loss, svrg_local_cycle,
                  verify_update)
 from . import latency
-from .seeding import pcg64_state, replication_seeds
 
 __all__ = [
     "RandomStreams", "sample_exponential", "arrival_times",
     "LeaderBatch", "run_leader_batching",
     "ConsensusTiming", "run_pbft_round",
     "run_cycle", "TrainingRun", "run_training",
-    "run_experiment", "audit_block",
+    "check_experiment", "run_experiment", "audit_block",
 ]
 
 
@@ -66,12 +62,8 @@ class RandomStreams:
 
     @classmethod
     def for_replication(cls, master_seed, rep: int) -> "RandomStreams":
-        key = _replication_key(master_seed)
+        key = (master_seed,) if isinstance(master_seed, int) else tuple(master_seed)
         return cls._from_seed_seq(np.random.SeedSequence(key + (rep,)))
-
-
-def _replication_key(master_seed) -> tuple:
-    return (master_seed,) if isinstance(master_seed, int) else tuple(master_seed)
 
 
 def sample_exponential(rate: float, rng: np.random.Generator, size=None):
@@ -347,71 +339,77 @@ def audit_block(
                for tx in block.txs)
 
 
-# replications seeded per kernel call, and queue-matrix elements per
-# ``_serve`` call; the output does not depend on either
-_SEED_BLOCK = 1024
+# replications per seeded chunk, a constant of the stream contract, and
+# queue-matrix elements per ``_serve`` call, which the output ignores
+_CHUNK_REPS = 256
 _CHUNK_ELEMENTS = 1 << 13
 MAX_REPS = 1_000_000
 MAX_WARMUP = 1_000_000
+MAX_DRAWS = 1 << 30
 
 
-def _replicate(p: SystemParams, warmup: int, streams: "RandomStreams",
-               seeds: np.ndarray) -> np.ndarray:
-    """(b, preprepare, prepare, commit) of one chunk of replications.
+def _row_width(p: SystemParams, warmup: int) -> int:
+    """Draws of one replication, over both streams."""
+    return warmup + p.n_block + 4 * p.f + 2 * (2 * p.f + 1) + 1
 
-    Each replication loads its arrivals and services seeds (rows of
-    ``replication_seeds``) into the two Generators of ``streams`` and
-    draws each stream once: warmup + n_block interarrival gaps then 4f
-    vote gaps, and warmup + n_block services then 2(2f+1) processing
-    draws -- the values run_leader_batching and run_pbft_round draw in
-    turn.  The block starts at index ``warmup``.
-    """
-    n = warmup + p.n_block
-    gaps = np.empty((len(seeds), n + 4 * p.f))
-    services = np.empty((len(seeds), n + 2 * (2 * p.f + 1)))
-    for row, (arrivals_seed, services_seed) in enumerate(seeds.tolist()):
-        streams.arrivals.bit_generator.state = pcg64_state(*arrivals_seed)
-        streams.services.bit_generator.state = pcg64_state(*services_seed)
-        gaps[row] = sample_exponential(p.lam, streams.arrivals, gaps.shape[1])
-        services[row] = sample_exponential(p.mu, streams.services,
-                                           services.shape[1])
-    arrivals = np.cumsum(gaps[:, :n], axis=1)
-    b, _, _, D = _serve(p, arrivals, services[:, :n], warmup)
-    sojourns = D[:, warmup:] - arrivals[:, warmup:]
-    out = np.empty((len(seeds), 4))
-    out[:, 0] = b
-    out[:, 1] = [sojourns[row, :size].sum() for row, size in enumerate(b)]
-    out[:, 2], out[:, 3] = _phase_sums(p, gaps[:, n:], services[:, n:])
-    return out
+
+def _initial_wait(p: SystemParams, e: np.ndarray) -> np.ndarray:
+    """The stationary M/M/1 wait of a stream's first arrival, from Exp(mu)
+    draws ``e``: 0 with probability 1 - rho, else Exp(mu - lambda)."""
+    return np.maximum(0.0, (math.log(p.lam / p.mu) + p.mu * e) / (p.mu - p.lam))
 
 
 def _replication_draws(p: SystemParams, replications: int, master_seed,
                        warmup: int) -> np.ndarray:
     """(replications, 4) rows of (b, preprepare, prepare, commit).
 
-    Replication r reads what ``RandomStreams.for_replication(master_seed,
-    r)`` would give.  The seeds come from ``replication_seeds`` a block at
-    a time.  Each block builds its first replication's streams through
-    numpy, checks them against the kernel's first seeds, and then reuses
-    their two Generators for every replication of the block.
+    Replications c*R .. c*R + R - 1 (R = ``_CHUNK_REPS``) draw in turn from
+    ``RandomStreams.for_replication(master_seed, c)``: warmup + n_block
+    gaps then 4f vote gaps, and warmup + n_block services, 2(2f+1)
+    processing draws and an initial wait that joins the first service.
+    The block starts at index ``warmup``.
     """
-    key = _replication_key(master_seed)
-    width = warmup + p.n_block + 4 * p.f + 2
-    rows = max(1, _CHUNK_ELEMENTS // width)
+    n = warmup + p.n_block
+    step = max(1, _CHUNK_ELEMENTS // _row_width(p, warmup))
     draws = np.empty((replications, 4))
-    for first in range(0, replications, _SEED_BLOCK):
-        seeds = replication_seeds(
-            key, first, min(_SEED_BLOCK, replications - first))
-        streams = RandomStreams.for_replication(master_seed, first)
-        if [pcg64_state(*words) for words in seeds[0].tolist()] != [
-                streams.arrivals.bit_generator.state,
-                streams.services.bit_generator.state]:
-            raise RuntimeError("seed kernel disagrees with numpy's SeedSequence")
-        for lo in range(0, len(seeds), rows):
-            chunk = seeds[lo:lo + rows]
-            draws[first + lo:first + lo + len(chunk)] = _replicate(
-                p, warmup, streams, chunk)
+    for first in range(0, replications, _CHUNK_REPS):
+        streams = RandomStreams.for_replication(master_seed,
+                                                first // _CHUNK_REPS)
+        last = min(first + _CHUNK_REPS, replications)
+        for lo in range(first, last, step):
+            rows = min(step, last - lo)
+            out = draws[lo:lo + rows]
+            gaps = sample_exponential(p.lam, streams.arrivals,
+                                      (rows, n + 4 * p.f))
+            services = sample_exponential(p.mu, streams.services,
+                                          (rows, n + 2 * (2 * p.f + 1) + 1))
+            services[:, 0] += _initial_wait(p, services[:, -1])
+            arrivals = np.cumsum(gaps[:, :n], axis=1)
+            b, _, _, D = _serve(p, arrivals, services[:, :n], warmup)
+            # each block's sojourns, summed in arrival order
+            sums = np.cumsum(D[:, warmup:] - arrivals[:, warmup:], axis=1)
+            out[:, 0] = b
+            out[:, 1] = sums[np.arange(rows), b - 1]
+            out[:, 2], out[:, 3] = _phase_sums(p, gaps[:, n:],
+                                               services[:, n:-1])
     return draws
+
+
+def check_experiment(p: SystemParams, replications: int, warmup: int) -> None:
+    """Reject a bad replication count or warm-up, or a run that would draw
+    more than ``MAX_DRAWS`` values, before anything is drawn."""
+    if replications < 1:
+        raise ValueError("replications must be >= 1")
+    if replications > MAX_REPS:
+        raise ValueError(f"replications must be <= {MAX_REPS}")
+    if warmup < 0:
+        raise ValueError("warmup must be >= 0")
+    if warmup > MAX_WARMUP:
+        raise ValueError(f"warmup must be <= {MAX_WARMUP}")
+    width = _row_width(p, warmup)
+    if replications * width > MAX_DRAWS:
+        raise ValueError(f"replications x draws per replication must be <= "
+                         f"{MAX_DRAWS}, got {replications} x {width}")
 
 
 def _stat_row(values: np.ndarray) -> tuple[float, float]:
@@ -426,27 +424,21 @@ def run_experiment(
     replications: int,
     master_seed: int,
     n_samples: int = 500,
-    warmup: int = 1000,
+    warmup: int = 0,
     config_id: str = "run",
 ) -> ExperimentStats:
     """Replicate the consensus pipeline and compare with the formula delays.
 
-    Each replication reseeds its own substreams from (master_seed, index),
-    pushes `warmup` transactions through the leader's queue so the
-    measured block samples the stationary regime the formulas describe,
-    then seals and votes on one block.  Components that are deterministic
-    formulas are reported alongside so every field of the breakdown gets a
-    mean, a standard error, the matching prediction (using each
-    replication's realized b) and a relative error.
+    Each replication starts the leader's queue in its stationary state, the
+    regime the formulas describe, optionally pushes ``warmup`` more
+    transactions through it, then seals and votes on one block.  Chunks
+    of replications seed their substreams from (master_seed, chunk).
+    Components that are deterministic formulas are reported alongside so
+    every field of the breakdown gets a mean, a standard error, the
+    matching prediction (using each replication's realized b) and a
+    relative error.
     """
-    if replications < 1:
-        raise ValueError("replications must be >= 1")
-    if replications > MAX_REPS:
-        raise ValueError(f"replications must be <= {MAX_REPS}")
-    if warmup < 0:
-        raise ValueError("warmup must be >= 0")
-    if warmup > MAX_WARMUP:
-        raise ValueError(f"warmup must be <= {MAX_WARMUP}")
+    check_experiment(p, replications, warmup)
     t_local = latency.t_local_update(p.delta_d, n_samples, p.f_c)
     t_up = latency.t_upload(p.delta_m, p.w_up, p.gamma_up)
     t_global = latency.t_global_update(p.delta_m, p.n_block, p.f_c)

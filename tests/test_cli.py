@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from fedbft import cli, latency, sim
 from fedbft.cli import SweepSpec, format_value, main, parse_config, sweep_values
-from fedbft.data import two_class_gaussian, split_dataset, write_samples
+from fedbft.data import two_class_gaussian, split_dataset
 from fedbft.domain import ALL_FIELDS, DEFAULT_PARAMS, SystemParams
 from fedbft.sim import RandomStreams, run_training
+from sample_files import write_samples
 
 
 def run_cli(args, capsys):
@@ -174,6 +175,17 @@ def test_sweep_fails_fast_before_any_output(capsys):
      "error: lambda grid exceeds 1000000 points\n"),
     (["optimal-lambda", "--grid-step", "1e-300"],
      "error: lambda grid exceeds 1000000 points\n"),
+    (["fl-run", "--samples", "1000000000000"],
+     "error: --samples must be <= 16777216, got 1000000000000\n"),
+    (["fl-run", "--holdout", "1000000000000"],
+     "error: --holdout must be <= 16777216, got 1000000000000\n"),
+    (["fl-run", "--features", "1000000000000"],
+     "error: --features must be <= 16777216, got 1000000000000\n"),
+    (["fl-run", "--enterprises", "1000000000000"],
+     "error: --enterprises must be <= 16777216, got 1000000000000\n"),
+    (["fl-run", "--samples", "100000", "--features", "300"],
+     "error: (--enterprises x --samples + --holdout) x --features must be "
+     "<= 16777216, got 120600000\n"),
 ])
 def test_out_of_range_sizes_are_rejected(argv, err, capsys):
     code, out, got = run_cli(argv, capsys)
@@ -288,12 +300,38 @@ def test_fl_run_rejects_non_integer_adversary_ids(capsys):
 @pytest.mark.parametrize("flags, message", [
     (["--reps", "1000000000000000"], "replications must be <= 1000000"),
     (["--warmup", "100000000000", "--reps", "1"], "warmup must be <= 1000000"),
+    (["--reps", "1000000", "--warmup", "1000000"],
+     "replications x draws per replication must be <= 1073741824, "
+     "got 1000000 x 1000111"),
 ])
 def test_simulate_caps_reps_and_warmup(flags, message, capsys):
     code, out, err = run_cli(["simulate", *flags], capsys)
     assert code == 1
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_sweep_checks_every_point_before_the_first_runs(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a point ran before the grid was checked")
+    monkeypatch.setattr(cli, "run_experiment", no_work)
+    # the second point, n_block = 1000000, draws too much at 2000 reps
+    code, out, err = run_cli(["sweep", "--param", "n_block", "--from", "100",
+                              "--to", "1000000", "--step", "999900",
+                              "--reps", "2000"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == ("error: replications x draws per replication must be <= "
+                   "1073741824, got 2000 x 1000011\n")
+
+
+def test_huge_config_sizes_are_rejected(tmp_path, capsys):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("n_block=1000000000000\n")
+    code, out, err = run_cli(["simulate", "--reps", "1", "--config", str(cfg)],
+                             capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: {cfg}: n_block must be <= 1000000\n"
 
 
 def test_fl_run_rejects_zero_enterprises(capsys):
@@ -444,6 +482,8 @@ def input_files(tmp_path_factory):
         "timeout.cfg": "tau=0.005\nn_block=10\n",
         "faults.cfg": "f=2\nn_peers=7\nn_block=10\n",
         "inf_mu.cfg": "mu=inf\n",
+        "huge_n_block.cfg": "n_block=1000000000000\n",
+        "huge_f.cfg": "f=1000000000000\nn_peers=3000000000001\n",
         "bad_key.cfg": "what=1\n",
         "bad_label.txt": "2 0.5\n",
     }
@@ -484,8 +524,9 @@ def cli_argv(draw):
     argv += opt("--config", mostly(
         st.sampled_from([None, files("small.cfg"), files("timeout.cfg"),
                          files("faults.cfg")]),
-        *(files(n) for n in ("inf_mu.cfg", "bad_key.cfg", "binary.bin",
-                             "folder", "missing.cfg"))))
+        *(files(n) for n in ("inf_mu.cfg", "huge_n_block.cfg", "huge_f.cfg",
+                             "bad_key.cfg", "binary.bin", "folder",
+                             "missing.cfg"))))
     argv += opt("--seed", mostly(st.none() | ints(0, 5), -1))
     argv += opt("--out", mostly(st.sampled_from([None, "-", files("out.csv")]),
                                 files("missing/out.csv")))
@@ -513,12 +554,14 @@ def cli_argv(draw):
             st.sampled_from([None, files("ent0.txt"), files("ent0.txt", "ent1.txt")]),
             files("ent0.txt", "ent3d.txt"), files("bad_label.txt"),
             files("binary.bin"), files("folder"), files("missing.txt"), ","))
-        argv += opt("--enterprises", mostly(st.none() | ints(1, 4), 0, -1))
-        argv += opt("--samples", mostly(st.none() | ints(10, 60), -1, 2, 3))
-        argv += opt("--features", mostly(st.none() | ints(1, 4), 0))
+        argv += opt("--enterprises", mostly(st.none() | ints(1, 4), 0, -1,
+                                            10**12))
+        argv += opt("--samples", mostly(st.none() | ints(10, 60), -1, 2, 3,
+                                        10**12))
+        argv += opt("--features", mostly(st.none() | ints(1, 4), 0, 10**12))
         argv += opt("--separation", mostly(st.none() | st.floats(0, 8),
                                            -1.0, math.nan, math.inf))
-        argv += opt("--holdout", mostly(ints(2, 60), 1, -1))
+        argv += opt("--holdout", mostly(ints(2, 60), 1, -1, 10**12))
         argv += opt("--adversaries", mostly(st.sampled_from([None, "0", "1,2"]),
                                             "9", "-1", "x"))
         argv += opt("--cycle-cap", mostly(ints(1, 2), 0, -1))
@@ -529,6 +572,12 @@ def cli_argv(draw):
 @given(argv=cli_argv())
 @example(argv=["fl-run", "--data={root}/missing.txt", "--cycle-cap=1"])
 @example(argv=["fl-run", "--data={root}/folder", "--cycle-cap=1"])
+@example(argv=["simulate", "--reps=1000000", "--warmup=1000000"])
+@example(argv=["sweep", "--param=lambda", "--from=50", "--to=100", "--step=50",
+               "--reps=1000000", "--warmup=1000000"])
+@example(argv=["simulate", "--config={root}/huge_n_block.cfg", "--reps=1"])
+@example(argv=["fl-run", "--config={root}/huge_f.cfg", "--cycle-cap=1"])
+@example(argv=["fl-run", "--samples=1000000000000", "--cycle-cap=1"])
 def test_no_argv_ends_in_a_traceback(input_files, argv):
     argv = [arg.replace("{root}", str(input_files)) for arg in argv]
     out, err = io.StringIO(), io.StringIO()

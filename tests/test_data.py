@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 
 from fedbft.data import (Dataset, EnterpriseData, read_samples, split_dataset,
-                         two_class_gaussian, write_samples)
+                         two_class_gaussian)
 from fedbft.domain import Sample
+from sample_files import samples, write_samples
 
 
 def test_dataset_validation():
@@ -20,10 +21,10 @@ def test_dataset_validation():
 
 def test_dataset_samples_roundtrip():
     ds = Dataset(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1, -1]), owner=2)
-    samples = list(ds.samples())
-    assert samples == [Sample(np.array([1.0, 2.0]), 1),
-                       Sample(np.array([3.0, 4.0]), -1)]
-    assert all(isinstance(s.y, int) for s in samples)
+    rows = samples(ds)
+    assert rows == [Sample(np.array([1.0, 2.0]), 1),
+                    Sample(np.array([3.0, 4.0]), -1)]
+    assert all(isinstance(s.y, int) for s in rows)
     assert ds.owner == 2 and ds.dim == 2 and len(ds) == 2
 
 

@@ -7,10 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedbft.domain import (ALL_FIELDS, Block, COMPONENT_FIELDS, CONFIG_KEYS,
+from fedbft.domain import (ALL_FIELDS, Block, COMPONENT_FIELDS,
                            DEFAULT_PARAMS, LatencyBreakdown, LocalUpdateTx,
-                           Sample, SystemParams, params_to_text,
-                           parse_params_text, tx_digest, tx_payload_bytes)
+                           Sample, SystemParams, parse_params_text, tx_digest,
+                           tx_payload_bytes)
+
+CONFIG_KEYS = tuple("lambda" if f.name == "lam" else f.name
+                    for f in dataclasses.fields(SystemParams))
+
+
+def params_to_text(p: SystemParams) -> str:
+    """The flat key=value form that parse_params_text reads."""
+    return "".join(f"{key}={getattr(p, f.name)!r}\n" for key, f in
+                   zip(CONFIG_KEYS, dataclasses.fields(SystemParams)))
 
 
 def make_tx(eid=0, w=(1.0, 2.0), g=(0.1, 0.2), n=10, at=1.5):
@@ -45,6 +54,8 @@ def test_defaults_are_valid():
     (dict(beta=math.inf), "beta must be finite"),
     (dict(tau=math.nan), "tau must be positive"),
     (dict(epsilon=math.nan), "epsilon must be positive"),
+    (dict(n_block=10**12), "n_block must be <= 1000000"),
+    (dict(f=10**12, n_peers=3 * 10**12 + 1), "f must be <= 100000"),
 ])
 def test_invalid_params_rejected(kwargs, msg):
     with pytest.raises(ValueError, match=msg.replace("[", r"\[").replace("+", r"\+")):

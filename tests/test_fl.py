@@ -10,10 +10,11 @@ from hypothesis.extra.numpy import arrays
 from fedbft.data import Dataset, two_class_gaussian
 from fedbft.domain import LocalUpdateTx, Sample, SystemParams
 from fedbft.fl import (GlobalModel, accuracy, aggregate_global,
-                       average_gradient, classify, global_full_gradient,
+                       average_gradient, global_full_gradient,
                        has_converged, logistic_loss, mean_loss,
                        pooled_mean_loss, sample_gradient, sigmoid,
                        svrg_local_cycle, verify_update)
+from sample_files import samples
 
 weight_vecs = arrays(np.float64, 3, elements=st.floats(-50.0, 50.0))
 
@@ -114,7 +115,7 @@ def test_average_gradient_is_mean_of_sample_gradients():
     rng = np.random.default_rng(7)
     ds = two_class_gaussian(20, 3, 2.0, rng)
     w = rng.normal(size=3)
-    per_sample = np.stack([sample_gradient(w, s) for s in ds.samples()])
+    per_sample = np.stack([sample_gradient(w, s) for s in samples(ds)])
     np.testing.assert_allclose(average_gradient(w, ds), per_sample.mean(axis=0),
                                rtol=1e-12)
 
@@ -123,7 +124,7 @@ def test_mean_loss_matches_sample_loop():
     rng = np.random.default_rng(8)
     ds = two_class_gaussian(15, 2, 1.0, rng)
     w = rng.normal(size=2)
-    looped = np.mean([logistic_loss(w, s) for s in ds.samples()])
+    looped = np.mean([logistic_loss(w, s) for s in samples(ds)])
     assert mean_loss(w, ds) == pytest.approx(looped, rel=1e-12)
 
 
@@ -339,22 +340,32 @@ def test_aggregate_rejects_empty_and_mismatched():
 
 # --- prediction and verification ---
 
+def classify(w: np.ndarray, x: np.ndarray) -> int:
+    """Reference prediction -sign(w.x); the boundary w.x = 0 yields -1."""
+    return -1 if float(np.dot(w, x)) >= 0 else 1
+
+
+def accuracy_on(w, x, y):
+    return accuracy(np.asarray(w), Dataset(np.array([x]), np.array([y])))
+
+
 def test_classify_boundary_is_minus_one():
-    assert classify(np.zeros(2), np.array([1.0, 1.0])) == -1
-    assert classify(np.array([1.0, 0.0]), np.array([2.0, 0.0])) == -1
-    assert classify(np.array([1.0, 0.0]), np.array([-2.0, 0.0])) == 1
+    # accuracy() predicts -1 on the boundary w.x = 0 and +1 when w.x < 0
+    assert accuracy_on(np.zeros(2), [1.0, 1.0], -1) == 1.0
+    assert accuracy_on([1.0, 0.0], [2.0, 0.0], -1) == 1.0
+    assert accuracy_on([1.0, 0.0], [-2.0, 0.0], 1) == 1.0
 
 
 @given(weight_vecs, weight_vecs, st.floats(0.1, 100.0))
 def test_classify_scale_invariant(w, x, scale):
-    assert classify(w, x) == classify(scale * w, x)
+    assert accuracy_on(w, x, 1) == accuracy_on(scale * w, x, 1)
 
 
 def test_accuracy_matches_classify_loop():
     rng = np.random.default_rng(10)
     ds = two_class_gaussian(40, 3, 2.0, rng)
     w = rng.normal(size=3)
-    looped = np.mean([classify(w, s.x) == s.y for s in ds.samples()])
+    looped = np.mean([classify(w, s.x) == s.y for s in samples(ds)])
     assert accuracy(w, ds) == pytest.approx(looped)
 
 

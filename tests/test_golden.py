@@ -3,9 +3,9 @@
 The fl-run CSVs under tests/data/ and the digest chain below were written
 by the step loop as first implemented (one scalar index draw and one
 array-path sigmoid per step).  The simulate and sweep CSVs were written
-before the simulator's event-driven and vectorized engines were merged into
-one recurrence.  A faster or smaller implementation must leave every byte
-unchanged.
+when the simulator moved to a stationary start and per-chunk seeding, the
+stream contract README "Determinism" sets out.  A faster or smaller
+implementation must leave every byte unchanged.
 """
 import hashlib
 from pathlib import Path
@@ -31,7 +31,7 @@ SHAPES = {
                    "--adversaries", "2", "--cycle-cap", "30"]),
 }
 
-# (golden file, config text, argv); seed 0 and warm-up 1000 in all.  At
+# (golden file, config text, argv); seed 0 and no warm-up in all.  At
 # tau 10 every block seals on size (b = 100); at tau 0.2 every block seals
 # on the timeout, so b varies.
 SIMULATE = ["simulate", "--reps", "2000"]

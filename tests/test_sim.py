@@ -4,14 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from fedbft import seeding, sim
+from fedbft import sim
 from fedbft.data import two_class_gaussian, split_dataset
 from fedbft.domain import ALL_FIELDS, SystemParams
 from fedbft.fl import GlobalModel
 from fedbft.sim import (LeaderBatch, RandomStreams, arrival_times, audit_block,
                         run_cycle, run_experiment, run_leader_batching,
                         run_pbft_round, sample_exponential, _replication_draws)
-from fedbft.seeding import pcg64_state, replication_seeds
 
 
 # --- random draws ---
@@ -213,72 +212,136 @@ def test_pbft_phase_mean_tracks_formula():
     assert vals.mean() == pytest.approx(expected, rel=0.03)
 
 
-# --- replication path vs the public entry points ---
+# --- replication path vs a one-replication-at-a-time reference ---
 
-def public_replication(p, streams, warmup):
+def reference_draws(p, replications, key, warmup):
+    """(b, preprepare, prepare, commit) of each replication, one at a time.
+
+    Replications c*R .. c*R + R - 1 read chunk c's streams in turn.  Each
+    draws warmup + n_block gaps then 4f vote gaps from the arrivals stream,
+    and warmup + n_block services, 2(2f+1) processing draws and the
+    initial-wait draw from the services stream.  The stationary initial
+    wait is added to the first service.
+    """
     n = warmup + p.n_block
-    arrivals = arrival_times(p.lam, n, streams.arrivals)
-    batch = run_leader_batching(p, arrivals, streams.services, first_tx=warmup)
-    timing = run_pbft_round(p, batch, streams)
-    return batch.b, timing.t_preprepare, timing.t_prepare, timing.t_commit
+    rows = []
+    for rep in range(replications):
+        if rep % sim._CHUNK_REPS == 0:
+            streams = RandomStreams.for_replication(key, rep // sim._CHUNK_REPS)
+        gaps = sample_exponential(p.lam, streams.arrivals, n + 4 * p.f)
+        services = sample_exponential(p.mu, streams.services,
+                                      n + 2 * (2 * p.f + 1) + 1)
+        e = services[-1]
+        services[0] += max(0.0, (math.log(p.lam / p.mu) + p.mu * e)
+                           / (p.mu - p.lam))
+        arrivals = np.cumsum(gaps[:n])
+        b, _, _, D = sim._serve(p, arrivals[None], services[None, :n], warmup)
+        b = int(b[0])
+        preprepare = 0.0
+        for tx in range(warmup, warmup + b):
+            preprepare += D[0, tx] - arrivals[tx]
+        prepare, commit = sim._phase_sums(p, gaps[None, n:],
+                                          services[None, n:-1])
+        rows.append((b, preprepare, prepare[0], commit[0]))
+    return np.array(rows)
 
 
 @pytest.mark.parametrize("warmup", [0, 3, 50, 1000])
 @pytest.mark.parametrize("tau", [10.0, 0.2, 0.005, math.inf])
 def test_fast_replication_equals_event_driven(warmup, tau):
-    # the batched replication path draws, bit for bit, what the public
-    # one-stream entry points draw from each replication's own streams
-    reps = 5 if warmup == 1000 else 12
+    # the batched replication path draws, bit for bit, what one replication
+    # at a time draws from its chunk's streams, across a chunk boundary
+    reps = sim._CHUNK_REPS + 2
     for f, key in ((0, 3), (1, (42, 7)), (3, 11), (5, (0, 2))):
         p = SystemParams(tau=tau, f=f, n_peers=3 * f + 1)
-        batched = _replication_draws(p, reps, key, warmup)
-        public = [public_replication(p, RandomStreams.for_replication(key, r),
-                                     warmup) for r in range(reps)]
-        np.testing.assert_array_equal(batched, np.array(public))
+        np.testing.assert_array_equal(_replication_draws(p, reps, key, warmup),
+                                      reference_draws(p, reps, key, warmup))
 
 
-@pytest.mark.parametrize("block, rows", [
+@pytest.mark.parametrize("reps, rows", [
     (1, 1), (1, 7), (1, 2), (7, 1), (7, 7), (7, 8), (1024, 1), (1024, 7),
     (1024, 1025)])
-def test_experiment_does_not_depend_on_block_or_chunk_size(monkeypatch, block,
+def test_experiment_does_not_depend_on_block_or_chunk_size(monkeypatch, reps,
                                                            rows):
+    # rows per queue-kernel call is outside the stream contract
     p = SystemParams(tau=0.2)
-    expected = run_experiment(p, 23, 5, warmup=3)
-    monkeypatch.setattr(sim, "_SEED_BLOCK", block)
+    expected = run_experiment(p, reps, 5, warmup=3)
     monkeypatch.setattr(sim, "_CHUNK_ELEMENTS",
-                        rows * (3 + p.n_block + 4 * p.f + 2))
-    assert run_experiment(p, 23, 5, warmup=3) == expected
+                        rows * sim._row_width(p, 3))
+    assert run_experiment(p, reps, 5, warmup=3) == expected
+
+
+def test_a_longer_run_extends_a_shorter_one():
+    p = SystemParams(tau=0.2)
+    np.testing.assert_array_equal(_replication_draws(p, 700, 9, 0)[:5],
+                                  _replication_draws(p, 5, 9, 0))
 
 
 @pytest.mark.parametrize("key", [
     0, 42, 2**32 - 1, 2**32, 2**64 + 5,
     (7,), (42, 7), (3, 1, 99), (1, 2, 3, 4), (5, 4, 3, 2, 1)])
 def test_seed_kernel_matches_numpy_seeding(key):
-    key = (key,) if isinstance(key, int) else key
-    for first, count in ((0, 2), (1023, 2), (9999, 1)):
-        seeds = replication_seeds(key, first, count)
-        assert seeds.shape == (count, 2, 4)
-        for rep, row in enumerate(seeds.tolist(), start=first):
-            children = np.random.SeedSequence(key + (rep,)).spawn(3)
-            for words, child in zip(row, children):
-                assert (pcg64_state(*words)
-                        == np.random.default_rng(child).bit_generator.state)
+    # chunk c reads children 0 and 1 of numpy's SeedSequence(key + (c,))
+    as_tuple = (key,) if isinstance(key, int) else key
+    for chunk in (0, 1, 9999):
+        children = np.random.SeedSequence(as_tuple + (chunk,)).spawn(2)
+        streams = RandomStreams.for_replication(key, chunk)
+        for stream, child in zip((streams.arrivals, streams.services), children):
+            assert (stream.bit_generator.state
+                    == np.random.default_rng(child).bit_generator.state)
+    p = SystemParams(tau=0.2)
+    reps = sim._CHUNK_REPS + 1
+    np.testing.assert_array_equal(_replication_draws(p, reps, key, 0),
+                                  reference_draws(p, reps, key, 0))
 
 
 def test_seed_kernel_rejects_what_numpy_rejects():
     with pytest.raises(ValueError, match="expected non-negative integer"):
-        replication_seeds((-1,), 0, 1)
-    with pytest.raises(ValueError, match="expected non-negative integer"):
         run_experiment(SystemParams(), 2, (4, -1), warmup=0)
     for bad in (1.5, math.inf, math.nan):
         with pytest.raises(TypeError, match="seed must be integer"):
-            replication_seeds((3, bad), 0, 1)
+            run_experiment(SystemParams(), 2, (3, bad))
 
 
-def test_experiment_checks_the_seed_kernel_against_numpy(monkeypatch):
-    monkeypatch.setattr(seeding, "_MIX_L", seeding._MIX_L ^ 1)
-    with pytest.raises(RuntimeError, match="seed kernel disagrees"):
-        run_experiment(SystemParams(), 2, 0, warmup=0)
+# --- the stationary start ---
+
+def test_initial_wait_is_the_stationary_wait():
+    # W0 = 0 with probability 1 - rho, else Exp(mu - lambda)
+    p = SystemParams(lam=250.0)
+    rho = p.lam / p.mu
+    n = 1_000_000
+    w0 = sim._initial_wait(
+        p, sample_exponential(p.mu, np.random.default_rng(31), n))
+    idle = float((w0 == 0).mean())
+    assert abs(idle - (1 - rho)) <= 4 * math.sqrt(rho * (1 - rho) / n)
+    assert abs(w0.mean() - rho / (p.mu - p.lam)) <= 4 * w0.std() / math.sqrt(n)
+    busy = w0[w0 > 0]
+    assert busy.mean() == pytest.approx(1 / (p.mu - p.lam), rel=0.01)
+
+
+def empty_start_preprepare(p, replications, warmup, rng):
+    """Block sojourn totals of queues that start empty and serve ``warmup``
+    transactions before the block."""
+    n = warmup + p.n_block
+    totals = []
+    for _ in range(replications // 1000):
+        arrivals = np.cumsum(sample_exponential(p.lam, rng, (1000, n)), axis=1)
+        services = sample_exponential(p.mu, rng, (1000, n))
+        b, _, _, D = sim._serve(p, arrivals, services, warmup)
+        assert (b == p.n_block).all()
+        totals.append((D - arrivals)[:, warmup:].sum(axis=1))
+    return np.concatenate(totals)
+
+
+def test_stationary_start_matches_exact_mean_and_long_warmup():
+    # at rho = 0.83 the block's mean sojourn total is n_block / (mu - lambda)
+    p = SystemParams(lam=250.0)
+    stationary = _replication_draws(p, 400_000, 2026, 0)[:, 1]
+    warmed = empty_start_preprepare(p, 40_000, 1000, np.random.default_rng(2027))
+    se = stationary.std(ddof=1) / math.sqrt(stationary.size)
+    se_warmed = warmed.std(ddof=1) / math.sqrt(warmed.size)
+    assert abs(stationary.mean() - p.n_block / (p.mu - p.lam)) <= 2 * se
+    assert abs(stationary.mean() - warmed.mean()) <= 2 * math.hypot(se, se_warmed)
 
 
 def test_stationary_sojourn_matches_theory():
@@ -405,6 +468,8 @@ def test_experiment_is_deterministic_in_the_seed():
 @pytest.mark.parametrize("reps, warmup, message", [
     (10**15, 0, "replications must be <= 1000000"),
     (1, 10**11, "warmup must be <= 1000000"),
+    (10**6, 10**6, "replications x draws per replication must be <= "
+                   "1073741824, got 1000000 x 1000111"),
 ])
 def test_experiment_caps_reps_and_warmup_before_allocating(reps, warmup,
                                                           message):

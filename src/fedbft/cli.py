@@ -103,8 +103,6 @@ class SweepSpec:
     start: float
     stop: float
     step: float
-    reps: int = 1000
-    master_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.param not in SWEEPABLE:
@@ -113,8 +111,6 @@ class SweepSpec:
             raise ValueError("step must be positive")
         if not self.start < self.stop:
             raise ValueError("empty sweep range: start must be < stop")
-        if self.reps < 1:
-            raise ValueError("replications must be >= 1")
 
 
 def sweep_values(spec: SweepSpec) -> list[float]:
@@ -168,15 +164,15 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     base = parse_config(args.config)
-    spec = SweepSpec(args.param, args.start, args.stop, args.step,
-                     reps=args.reps, master_seed=_master_seed(args))
+    seed = _master_seed(args)
+    spec = SweepSpec(args.param, args.start, args.stop, args.step)
     values = sweep_values(spec)
     points = [_point_params(base, spec.param, v) for v in values]  # fail fast
     for p in points:
-        check_experiment(p, spec.reps, args.warmup)
+        check_experiment(p, args.reps, args.warmup)
     rows = []
     for idx, (value, p) in enumerate(zip(values, points)):
-        stats = run_experiment(p, spec.reps, (spec.master_seed, idx),
+        stats = run_experiment(p, args.reps, (seed, idx),
                                n_samples=args.n_samples, warmup=args.warmup,
                                config_id=f"{spec.param}={value:g}")
         se = stats.std_err or {}

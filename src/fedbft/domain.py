@@ -312,7 +312,8 @@ ALL_FIELDS = COMPONENT_FIELDS + SUM_FIELDS
 
 @dataclass(frozen=True)
 class LatencyBreakdown:
-    """Per-cycle delay components in seconds; sums are derived, never stored."""
+    """Per-cycle delay components in seconds, or arrays of them with one
+    entry per replication; sums are derived, never stored."""
 
     t_local: float
     t_up: float
@@ -324,7 +325,7 @@ class LatencyBreakdown:
 
     def __post_init__(self) -> None:
         for name in COMPONENT_FIELDS:
-            if getattr(self, name) < 0:
+            if np.asarray(getattr(self, name)).min() < 0:
                 raise ValueError(f"{name} must be >= 0")
 
     @property

@@ -110,6 +110,11 @@ def t_prepare_phase(f: int, lam: float, mu: float) -> float:
     return 2 * f / lam + (2 * f + 1) / mu
 
 
+def _consensus(b, f, lam, mu):
+    """The closed form, unchecked; ``lam`` may be an array."""
+    return ((b - 4 * f) * lam + 4 * f * mu) / (lam * (mu - lam)) + (4 * f + 2) / mu
+
+
 def consensus_closed_form(b: int, f: int, lam: float, mu: float) -> float:
     """Single-expression consensus delay, equal to the phase sum."""
     _require_rates(lam, mu)
@@ -117,7 +122,7 @@ def consensus_closed_form(b: int, f: int, lam: float, mu: float) -> float:
         raise ValueError("b must be >= 1")
     if f < 0:
         raise ValueError("f must be >= 0")
-    return ((b - 4 * f) * lam + 4 * f * mu) / (lam * (mu - lam)) + (4 * f + 2) / mu
+    return _consensus(b, f, lam, mu)
 
 
 def t_total(p: SystemParams, n_i: int, b: int) -> LatencyBreakdown:
@@ -165,7 +170,7 @@ def argmin_consensus_grid(f: int, n_block: int, mu: float, grid_step: float) -> 
     if n_pts < 3:
         raise ValueError("grid_step too coarse for (0, mu)")
     grid = grid_step * np.arange(1, n_pts + 1)
-    values = ((n_block - 4 * f) * grid + 4 * f * mu) / (grid * (mu - grid)) + (4 * f + 2) / mu
+    values = _consensus(n_block, f, grid, mu)
     second = np.diff(values, n=2)
     if second.min() < -1e-9:
         raise ValueError("consensus delay not convex along grid")

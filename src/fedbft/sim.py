@@ -14,21 +14,22 @@ an honest peer as the sum of its vote gaps and message processing draws
 ``run_cycle`` drives one training cycle through that pipeline, one stream
 at a time, and ``run_training`` repeats cycles until the stop rule.
 ``run_experiment`` replicates the pipeline and sets the measured delays
-beside the formula predictions.  Each replication starts the queue in its
-exact stationary state, and each chunk of 256 replications reads one pair
-of streams; README "Determinism" sets out that contract.
+beside ``latency.t_total`` at each realized b.  Each replication starts
+the queue in its exact stationary state, and each chunk of 256
+replications reads one pair of streams; README "Determinism" sets out
+that contract.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .data import Dataset, EnterpriseData
-from .domain import (ALL_FIELDS, Block, ExperimentStats, LatencyBreakdown,
-                     LocalUpdateTx, SystemParams)
+from .domain import (ALL_FIELDS, COMPONENT_FIELDS, Block, ExperimentStats,
+                     LatencyBreakdown, LocalUpdateTx, SystemParams)
 from .fl import (GlobalModel, accuracy, aggregate_global, global_full_gradient,
                  has_converged, pooled_mean_loss, svrg_local_cycle,
                  verify_update)
@@ -86,18 +87,17 @@ class LeaderBatch:
     """Outcome of serving one arrival stream through the leader's queue.
 
     ``sojourns`` covers every transaction in the stream; the sealed block
-    holds the ``b`` transactions starting at index ``first_tx``.
+    holds the first ``b`` of them.
     """
 
     b: int
     seal_time: float
-    first_tx: int
     sojourns: np.ndarray
     timed_out: bool
 
     @property
     def block_sojourn_total(self) -> float:
-        return float(self.sojourns[self.first_tx:self.first_tx + self.b].sum())
+        return float(self.sojourns[:self.b].sum())
 
 
 def _serve(p: SystemParams, arrivals: np.ndarray, services: np.ndarray,
@@ -137,16 +137,13 @@ def run_leader_batching(
     p: SystemParams,
     arrivals: np.ndarray,
     rng: np.random.Generator,
-    first_tx: int = 0,
 ) -> LeaderBatch:
     """Serve an arrival stream FIFO at rate mu and seal one block.
 
-    The sealed block collects served transactions from index ``first_tx``
-    on (earlier ones model an already-running stream) and closes at the
-    earlier of p.n_block of them served or p.tau after arrival number
-    ``first_tx`` -- but never before the first completion.  Exhausting the
-    stream flushes whatever has been served.  All service times are drawn
-    from ``rng`` up front in arrival order.
+    The block closes at the earlier of p.n_block transactions served or
+    p.tau after the first arrival -- but never before the first
+    completion.  Exhausting the stream flushes whatever has been served.
+    All service times are drawn from ``rng`` up front in arrival order.
     """
     arrivals = np.asarray(arrivals, dtype=np.float64)
     n = arrivals.size
@@ -154,19 +151,16 @@ def run_leader_batching(
         raise ValueError("no arrivals to batch")
     if np.any(np.diff(arrivals) < 0) or arrivals[0] < 0:
         raise ValueError("arrival times must be nondecreasing and >= 0")
-    if not 0 <= first_tx < n:
-        raise ValueError("first_tx out of range")
     b, seal_time, timed_out, D = _serve(
-        p, arrivals[None], sample_exponential(p.mu, rng, n)[None], first_tx)
-    return LeaderBatch(int(b[0]), float(seal_time[0]), first_tx,
-                       D[0] - arrivals, bool(timed_out[0]))
+        p, arrivals[None], sample_exponential(p.mu, rng, n)[None], 0)
+    return LeaderBatch(int(b[0]), float(seal_time[0]), D[0] - arrivals,
+                       bool(timed_out[0]))
 
 
 @dataclass(frozen=True)
 class ConsensusTiming:
-    """Phase delays observed at an honest peer."""
+    """Voting-phase delays observed at an honest peer."""
 
-    t_preprepare: float
     t_prepare: float
     t_commit: float
 
@@ -183,23 +177,17 @@ def _phase_sums(p: SystemParams, gaps: np.ndarray, procs: np.ndarray):
             gaps[:, twof:].sum(axis=1) + procs[:, twof + 1:].sum(axis=1))
 
 
-def run_pbft_round(
-    p: SystemParams,
-    batch: LeaderBatch,
-    streams: "RandomStreams",
-) -> ConsensusTiming:
-    """Time one three-phase voting round at an honest peer.
+def run_pbft_round(p: SystemParams, streams: "RandomStreams") -> ConsensusTiming:
+    """Time the prepare and commit phases at an honest peer.
 
-    The batching sojourn total is the pre-prepare delay.  In each voting
-    phase the peer waits for 2f votes (exponential(lambda) gaps), then
-    works through the 2f+1 matching messages at exponential(mu) apiece.
-    Which f peers are faulty does not change that sum.
+    In each phase the peer waits for 2f votes (exponential(lambda) gaps),
+    then works through the 2f+1 matching messages at exponential(mu)
+    apiece.  Which f peers are faulty does not change that sum.
     """
     gaps = sample_exponential(p.lam, streams.arrivals, 4 * p.f)
     procs = sample_exponential(p.mu, streams.services, 2 * (2 * p.f + 1))
     prepare, commit = _phase_sums(p, gaps[None], procs[None])
-    return ConsensusTiming(batch.block_sojourn_total, float(prepare[0]),
-                           float(commit[0]))
+    return ConsensusTiming(float(prepare[0]), float(commit[0]))
 
 
 def _passes_verification(
@@ -210,11 +198,13 @@ def _passes_verification(
     """A tx enters the candidate block only if every other peer accepts it.
 
     Enterprise i sits at peer i mod n_peers; peer j verifies against the
-    test set of enterprise j mod the enterprise count.
+    test set of enterprise j mod the enterprise count, so each distinct
+    test set is checked once.
     """
     own = tx.enterprise_id % p.n_peers
-    return all(verify_update(tx, enterprises[j % len(enterprises)].test, p.e0).accepted
-               for j in range(p.n_peers) if j != own)
+    n = len(enterprises)
+    return all(verify_update(tx, enterprises[k].test, p.e0).accepted
+               for k in {j % n for j in range(p.n_peers) if j != own})
 
 
 def run_cycle(
@@ -226,11 +216,11 @@ def run_cycle(
 ) -> tuple[GlobalModel, LatencyBreakdown, Block]:
     """Execute one full training cycle and account for its latency.
 
-    Local training and the up/down links contribute their deterministic
-    formula delays; batching and voting are simulated.  t_local is the
-    largest created_at among the sealed block's txs, so the slowest
-    enterprise whose update the block holds sets it.  Transactions that
-    fail cross-verification never reach the candidate block, and the
+    The breakdown is ``latency.t_total`` at the block's size and its
+    largest n_samples, so the slowest enterprise whose update the block
+    holds sets t_local; its consensus phases are replaced by simulated
+    ones: the block's sojourn total, then the voting round.  Transactions
+    that fail cross-verification never reach the candidate block, and the
     global step aggregates the sealed block's transactions only.
     Adversarial enterprises submit random weights instead of training.
     """
@@ -259,20 +249,15 @@ def run_cycle(
     batch = run_leader_batching(p, arr, streams.services)
     block_txs = verified[:batch.b]
     block = Block.seal(block_txs, batch.seal_time, p.h, p.delta_m, p.n_block)
-    voting = run_pbft_round(p, batch, streams)
+    voting = run_pbft_round(p, streams)
 
     new_weights = aggregate_global(model.weights, block_txs)
     new_model = GlobalModel(new_weights, global_full_gradient(block_txs),
                             model.cycle + 1)
-    breakdown = LatencyBreakdown(
-        t_local=max(tx.created_at for tx in block_txs),
-        t_up=latency.t_upload(p.delta_m, p.w_up, p.gamma_up),
-        t_preprepare=voting.t_preprepare,
-        t_prepare=voting.t_prepare,
-        t_commit=voting.t_commit,
-        t_dn=latency.t_download(p.h, batch.b, p.delta_m, p.w_dn, p.gamma_dn),
-        t_global=latency.t_global_update(p.delta_m, p.n_block, p.f_c),
-    )
+    breakdown = replace(
+        latency.t_total(p, max(tx.n_samples for tx in block_txs), batch.b),
+        t_preprepare=batch.block_sojourn_total, t_prepare=voting.t_prepare,
+        t_commit=voting.t_commit)
     return new_model, breakdown, block
 
 
@@ -282,9 +267,7 @@ class TrainingRun:
 
     rows: list[tuple]
     blocks: list[Block]
-    weights_per_cycle: list[np.ndarray]
     converged: bool
-    model: GlobalModel
 
 
 def run_training(
@@ -309,7 +292,6 @@ def run_training(
     train_sets = [e.train for e in enterprises]
     rows: list[tuple] = []
     blocks: list[Block] = []
-    weights = [model.weights]
     converged = False
     for cycle in range(1, cycle_cap + 1):
         prev = model.weights
@@ -322,11 +304,10 @@ def run_training(
             *(getattr(breakdown, name) for name in ALL_FIELDS),
         ))
         blocks.append(block)
-        weights.append(model.weights)
         if has_converged(model.weights, prev, p.epsilon):
             converged = True
             break
-    return TrainingRun(rows, blocks, weights, converged, model)
+    return TrainingRun(rows, blocks, converged)
 
 
 def audit_block(
@@ -427,50 +408,30 @@ def run_experiment(
     warmup: int = 0,
     config_id: str = "run",
 ) -> ExperimentStats:
-    """Replicate the consensus pipeline and compare with the formula delays.
+    """Replicate the consensus pipeline and compare with the model.
 
     Each replication starts the leader's queue in its stationary state, the
     regime the formulas describe, optionally pushes ``warmup`` more
     transactions through it, then seals and votes on one block.  Chunks
     of replications seed their substreams from (master_seed, chunk).
-    Components that are deterministic formulas are reported alongside so
-    every field of the breakdown gets a mean, a standard error, the
-    matching prediction (using each replication's realized b) and a
-    relative error.
+    A replication's prediction is ``latency.t_total`` at its realized b;
+    its measurement is that breakdown with the three consensus phases
+    replaced by simulated ones.  Every field, the four sums included, gets
+    a mean, a standard error, the mean prediction and a relative error.
     """
     check_experiment(p, replications, warmup)
-    t_local = latency.t_local_update(p.delta_d, n_samples, p.f_c)
-    t_up = latency.t_upload(p.delta_m, p.w_up, p.gamma_up)
-    t_global = latency.t_global_update(p.delta_m, p.n_block, p.f_c)
-
+    latency.t_local_update(p.delta_d, n_samples, p.f_c)  # rejects n_samples < 1
     bs, pre, prep, com = _replication_draws(p, replications, master_seed,
                                             warmup).T
+    distinct, which = np.unique(bs, return_inverse=True)
+    per_b = [latency.t_total(p, n_samples, int(b)) for b in distinct]
+    ana = LatencyBreakdown(*(np.array([getattr(m, name) for m in per_b])[which]
+                             for name in COMPONENT_FIELDS))
+    sim = replace(ana, t_preprepare=pre, t_prepare=prep, t_commit=com)
 
-    dn_of_b = {b: latency.t_download(p.h, int(b), p.delta_m, p.w_dn, p.gamma_dn)
-               for b in np.unique(bs)}
-    dn = np.array([dn_of_b[b] for b in bs])
-
-    sim = {
-        "t_local": np.full(replications, t_local),
-        "t_up": np.full(replications, t_up),
-        "t_preprepare": pre,
-        "t_prepare": prep,
-        "t_commit": com,
-        "t_dn": dn,
-        "t_global": np.full(replications, t_global),
-    }
-    phase = np.full(replications, latency.t_prepare_phase(p.f, p.lam, p.mu))
-    ana = dict(sim, t_preprepare=bs / (p.mu - p.lam), t_prepare=phase,
-               t_commit=phase)
-    for d in (sim, ana):
-        d["t_update"] = d["t_local"] + d["t_global"]
-        d["t_commun"] = d["t_up"] + d["t_dn"]
-        d["t_consensus"] = d["t_preprepare"] + d["t_prepare"] + d["t_commit"]
-        d["t_total"] = d["t_update"] + d["t_commun"] + d["t_consensus"]
-
-    rows = {name: _stat_row(sim[name]) for name in ALL_FIELDS}
+    rows = {name: _stat_row(getattr(sim, name)) for name in ALL_FIELDS}
     mean = {name: m for name, (m, _) in rows.items()}
-    analytic = {name: float(ana[name].mean()) for name in ALL_FIELDS}
+    analytic = {name: float(getattr(ana, name).mean()) for name in ALL_FIELDS}
     return ExperimentStats(
         config_id=config_id,
         replications=replications,

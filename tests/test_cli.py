@@ -112,6 +112,16 @@ def test_simulate_different_seed_differs(tmp_path, capsys):
     assert out1.read_bytes() != out2.read_bytes()
 
 
+def test_simulate_analytic_column_is_the_model_row(capsys):
+    # at tau = 10 every block fills, so each replication's prediction is
+    # the model's breakdown at b = n_block, sums included
+    _, model_out, _ = run_cli(["model"], capsys)
+    model_row = model_out.splitlines()[1].split(",")
+    _, sim_out, _ = run_cli(["simulate", "--reps", "300"], capsys)
+    analytic = [line.split(",")[5] for line in sim_out.splitlines()[1:]]
+    assert analytic == model_row[1:]
+
+
 # --- sweep ---
 
 def test_sweep_values_inclusive_grid():
@@ -128,8 +138,6 @@ def test_sweep_spec_validation():
         SweepSpec("lambda", 1.0, 2.0, 0.0)
     with pytest.raises(ValueError, match="integer values"):
         sweep_values(SweepSpec("f", 1.0, 2.0, 0.5))
-    with pytest.raises(ValueError, match="replications must be >= 1"):
-        SweepSpec("lambda", 1.0, 2.0, 1.0, reps=0)
     # the point count is checked before the grid is built
     assert len(sweep_values(SweepSpec("lambda", 0.0, 9999.0, 1.0))) == 10_000
     for stop, step in ((10_000.0, 1.0), (1e6, 1e-9), (1e308, 1e-308)):
@@ -240,6 +248,18 @@ def test_simulate_rejects_zero_reps(capsys):
     assert code == 1
     assert out == ""
     assert "error: replications must be >= 1" in err
+
+
+def test_sweep_rejects_zero_reps(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a point ran with zero replications")
+    monkeypatch.setattr(cli, "run_experiment", no_work)
+    code, out, err = run_cli(["sweep", "--param", "lambda", "--from", "50",
+                              "--to", "150", "--step", "50", "--reps", "0"],
+                             capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: replications must be >= 1\n"
 
 
 def test_fl_run_converged_summary(tmp_path, capsys):
@@ -442,7 +462,6 @@ def test_run_training_row_shape():
     assert len(run.rows[0]) == 5 + len(ALL_FIELDS)
     assert run.rows[0][0] == 1 and run.rows[1][0] == 2
     assert len(run.blocks) == 2
-    assert len(run.weights_per_cycle) == 3  # initial plus one per cycle
     assert not run.converged
 
 

@@ -227,6 +227,10 @@ def test_breakdown_total_equals_component_sum(parts):
 def test_breakdown_rejects_negative_component():
     with pytest.raises(ValueError, match="t_dn must be >= 0"):
         LatencyBreakdown(0, 0, 0, 0, 0, -1.0, 0)
+    # a per-replication array is checked entry by entry
+    with pytest.raises(ValueError, match="t_prepare must be >= 0"):
+        LatencyBreakdown(0, 0, np.zeros(3), np.array([0.5, -1e-9, 2.0]),
+                         0, 0, 0)
 
 
 def test_component_field_order_matches_pipeline():

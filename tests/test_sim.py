@@ -4,13 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from fedbft import sim
+from dataclasses import replace
+
+from fedbft import latency, sim
 from fedbft.data import two_class_gaussian, split_dataset
 from fedbft.domain import ALL_FIELDS, SystemParams
 from fedbft.fl import GlobalModel
-from fedbft.sim import (LeaderBatch, RandomStreams, arrival_times, audit_block,
-                        run_cycle, run_experiment, run_leader_batching,
-                        run_pbft_round, sample_exponential, _replication_draws)
+from fedbft.fl import verify_update
+from fedbft.sim import (RandomStreams, arrival_times, audit_block, run_cycle,
+                        run_experiment, run_leader_batching, run_pbft_round,
+                        sample_exponential, _replication_draws)
 
 
 # --- random draws ---
@@ -140,16 +143,6 @@ def test_batching_matches_fifo_recurrence():
     np.testing.assert_allclose(arr + batch.sojourns, expected, rtol=1e-12)
 
 
-def test_batching_first_tx_offsets_the_block():
-    p = full_params(n_block=5, tau=1e6)
-    arr = arrival_times(p.lam, 30, np.random.default_rng(13))
-    batch = run_leader_batching(p, arr, np.random.default_rng(14), first_tx=10)
-    assert batch.first_tx == 10
-    assert batch.b == 5
-    assert batch.block_sojourn_total == pytest.approx(
-        batch.sojourns[10:15].sum(), rel=1e-15)
-
-
 def test_batching_input_validation():
     p = full_params()
     rng = np.random.default_rng(0)
@@ -157,27 +150,14 @@ def test_batching_input_validation():
         run_leader_batching(p, np.empty(0), rng)
     with pytest.raises(ValueError, match="nondecreasing"):
         run_leader_batching(p, np.array([2.0, 1.0]), rng)
-    with pytest.raises(ValueError, match="first_tx out of range"):
-        run_leader_batching(p, np.array([1.0]), rng, first_tx=1)
 
 
 # --- voting rounds ---
 
-def unit_batch():
-    return LeaderBatch(b=1, seal_time=0.0, first_tx=0,
-                       sojourns=np.array([0.25]), timed_out=False)
-
-
-def test_pbft_preprepare_is_block_sojourn_total():
-    p = SystemParams()
-    timing = run_pbft_round(p, unit_batch(), RandomStreams.from_seed(0))
-    assert timing.t_preprepare == 0.25
-
-
 def test_pbft_phase_times_match_consumed_draws():
     p = SystemParams()
     streams = RandomStreams.from_seed(21)
-    timing = run_pbft_round(p, unit_batch(), streams)
+    timing = run_pbft_round(p, streams)
     twin = RandomStreams.from_seed(21)
     # canonical order: prepare gaps, commit gaps, prepare and commit processing
     gaps_prep = sample_exponential(p.lam, twin.arrivals, 2 * p.f)
@@ -193,7 +173,7 @@ def test_pbft_phase_times_match_consumed_draws():
 def test_pbft_single_peer_degenerate_case():
     p = SystemParams(f=0, n_peers=1)
     streams = RandomStreams.from_seed(3)
-    timing = run_pbft_round(p, unit_batch(), streams)
+    timing = run_pbft_round(p, streams)
     # no votes to wait for; each phase is one processing draw
     twin = RandomStreams.from_seed(3)
     proc_prep = sample_exponential(p.mu, twin.services, 1)
@@ -206,7 +186,7 @@ def test_pbft_phase_mean_tracks_formula():
     p = SystemParams()
     expected = 2 * p.f / p.lam + (2 * p.f + 1) / p.mu
     vals = np.array([
-        run_pbft_round(p, unit_batch(), RandomStreams.from_seed((4, i))).t_prepare
+        run_pbft_round(p, RandomStreams.from_seed((4, i))).t_prepare
         for i in range(3000)
     ])
     assert vals.mean() == pytest.approx(expected, rel=0.03)
@@ -387,6 +367,57 @@ def test_run_cycle_t_local_is_the_slowest_block_member():
     assert 1 in {tx.enterprise_id for tx in block.txs}
     assert breakdown.t_local == max(tx.created_at for tx in block.txs)
     assert breakdown.t_local == pytest.approx(0.04)  # 4000 train rows
+
+
+def test_pbft_preprepare_is_block_sojourn_total(monkeypatch):
+    # a cycle's breakdown is the model's at the sealed block, with the
+    # consensus phases taken from the batch and the voting round it ran
+    seen = {}
+
+    def recorded(name, fn):
+        def wrapper(*args):
+            seen[name] = fn(*args)
+            return seen[name]
+        monkeypatch.setattr(sim, name, wrapper)
+
+    recorded("run_leader_batching", sim.run_leader_batching)
+    recorded("run_pbft_round", sim.run_pbft_round)
+    p = SystemParams(t_max=50, tau=0.02)
+    ents, streams = make_enterprises(6)
+    _, breakdown, block = run_cycle(p, ents, GlobalModel.initial(2), streams)
+    batch, voting = seen["run_leader_batching"], seen["run_pbft_round"]
+    assert len(block.txs) == batch.b
+    assert breakdown.t_preprepare == batch.block_sojourn_total
+    assert breakdown.t_prepare == voting.t_prepare
+    assert breakdown.t_commit == voting.t_commit
+    model = latency.t_total(p, max(len(e.train) for e in ents), batch.b)
+    assert breakdown == replace(model, t_preprepare=batch.block_sojourn_total,
+                                t_prepare=voting.t_prepare,
+                                t_commit=voting.t_commit)
+
+
+def test_verification_checks_each_test_set_once(monkeypatch):
+    # 3001 peers share 4 test sets; each tx is checked against each once
+    p = SystemParams(f=1000, n_peers=3001, t_max=20)
+    ents, streams = make_enterprises(7, samples=40)
+    calls = []
+
+    def counted(tx, test, e0):
+        calls.append(tx.enterprise_id)
+        return verify_update(tx, test, e0)
+
+    monkeypatch.setattr(sim, "verify_update", counted)
+    _, _, block = run_cycle(p, ents, GlobalModel.initial(2), streams)
+    assert sorted(set(calls)) == [0, 1, 2, 3]
+    assert all(calls.count(i) <= len(ents) for i in range(4))
+    calls.clear()
+    assert audit_block(block, ents, p)
+    assert len(calls) <= len(ents) * len(block.txs)
+    # the verdict is every other peer's
+    for tx in block.txs:
+        own = tx.enterprise_id % p.n_peers
+        assert all(verify_update(tx, ents[j % len(ents)].test, p.e0).accepted
+                   for j in range(p.n_peers) if j != own)
 
 
 def test_run_cycle_is_reproducible():

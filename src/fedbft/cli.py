@@ -153,9 +153,8 @@ def cmd_simulate(args) -> int:
     stats = run_experiment(p, args.reps, _master_seed(args),
                            n_samples=args.n_samples,
                            warmup=args.warmup, config_id=f"lambda={p.lam:g}")
-    se = stats.std_err or {}
     rows = [[stats.config_id, stats.replications, name, stats.mean[name],
-             se.get(name), stats.analytic[name], stats.rel_error[name]]
+             stats.std_err[name], stats.analytic[name], stats.rel_error[name]]
             for name in ALL_FIELDS]
     write_csv(args.out, ("config_id", "replications", "component", "mean",
                          "std_err", "analytic", "rel_error"), rows)
@@ -175,12 +174,11 @@ def cmd_sweep(args) -> int:
         stats = run_experiment(p, args.reps, (seed, idx),
                                n_samples=args.n_samples, warmup=args.warmup,
                                config_id=f"{spec.param}={value:g}")
-        se = stats.std_err or {}
         rows.append([
             spec.param, value,
-            stats.mean["t_consensus"], se.get("t_consensus"),
+            stats.mean["t_consensus"], stats.std_err["t_consensus"],
             stats.analytic["t_consensus"], stats.rel_error["t_consensus"],
-            stats.mean["t_total"], se.get("t_total"),
+            stats.mean["t_total"], stats.std_err["t_total"],
             stats.analytic["t_total"], stats.rel_error["t_total"],
         ])
     write_csv(args.out, ("param", "value",
@@ -258,6 +256,10 @@ def cmd_fl_run(args) -> int:
     write_csv(args.out, header, run.rows)
     reason = "converged" if run.converged else "cycle-cap"
     summary = f"result={reason} cycles={len(run.rows)}"
+    if adversaries:
+        admitted = sum(any(tx.enterprise_id in adversaries for tx in block.txs)
+                       for block in run.blocks)
+        summary += f" adversary_blocks={admitted}"
     # keep stdout clean when it is carrying the CSV
     print(summary, file=sys.stderr if args.out in (None, "-") else sys.stdout)
     return 0

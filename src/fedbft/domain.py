@@ -325,7 +325,7 @@ class LatencyBreakdown:
 
     def __post_init__(self) -> None:
         for name in COMPONENT_FIELDS:
-            if np.asarray(getattr(self, name)).min() < 0:
+            if (np.asarray(getattr(self, name)) < 0).any():
                 raise ValueError(f"{name} must be >= 0")
 
     @property
@@ -349,14 +349,15 @@ class LatencyBreakdown:
 class ExperimentStats:
     """Replicated-measurement summary next to the matching model prediction.
 
-    ``std_err`` is None when a single replication makes it undefined.
+    ``std_err`` entries are NaN when a single replication makes them
+    undefined.
     All four mappings are keyed by the latency field names.
     """
 
     config_id: str
     replications: int
     mean: dict[str, float]
-    std_err: Optional[dict[str, float]]
+    std_err: dict[str, float]
     analytic: dict[str, float]
     rel_error: dict[str, float]
 

@@ -2,6 +2,7 @@
 import contextlib
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,6 +287,31 @@ def test_fl_run_reads_sample_files(tmp_path, capsys):
                               "--cycle-cap", "2", "--holdout", "50"], capsys)
     assert code == 0
     assert len(out.splitlines()) == 3
+
+
+DEMO = ["fl-run", "--config", "configs/demo.cfg", "--samples", "200",
+        "--features", "300", "--separation", "3.0", "--cycle-cap", "20"]
+
+
+@pytest.mark.parametrize("argv,summary", [
+    # without --adversaries the line is the same as before the count
+    (DEMO, "result=cycle-cap cycles=20"),
+    # the README's saboteur study: enterprise 2 enters no block
+    (DEMO + ["--adversaries", "2"],
+     "result=cycle-cap cycles=20 adversary_blocks=0"),
+    # a threshold of 0 accepts the saboteurs' random weights every cycle
+    (["fl-run", "--config", "{tmp}/accept_all.cfg", "--samples", "40",
+      "--holdout", "50", "--adversaries", "1,3", "--cycle-cap", "3"],
+     "result=cycle-cap cycles=3 adversary_blocks=3"),
+])
+def test_fl_run_counts_adversary_blocks(argv, summary, tmp_path, capsys,
+                                        monkeypatch):
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    (tmp_path / "accept_all.cfg").write_text("e0=0\n")
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 0
+    assert err == summary + "\n"
 
 
 def test_fl_run_rejects_bad_adversary_id(capsys):

@@ -231,6 +231,9 @@ def test_breakdown_rejects_negative_component():
     with pytest.raises(ValueError, match="t_prepare must be >= 0"):
         LatencyBreakdown(0, 0, np.zeros(3), np.array([0.5, -1e-9, 2.0]),
                          0, 0, 0)
+    # a NaN entry does not hide a negative one
+    with pytest.raises(ValueError, match="t_commit must be >= 0"):
+        LatencyBreakdown(0, 0, 0, 0, np.array([np.nan, -1.0]), 0, 0)
 
 
 def test_component_field_order_matches_pipeline():

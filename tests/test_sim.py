@@ -397,27 +397,35 @@ def test_pbft_preprepare_is_block_sojourn_total(monkeypatch):
 
 
 def test_verification_checks_each_test_set_once(monkeypatch):
-    # 3001 peers share 4 test sets; each tx is checked against each once
-    p = SystemParams(f=1000, n_peers=3001, t_max=20)
+    # 4, 7 and 3001 peers share 4 test sets; each tx is checked once
+    # against each test set some other peer holds, including a tx whose
+    # owner id is at least twice the enterprise count
+    from fedbft.domain import Block, LocalUpdateTx
+
     ents, streams = make_enterprises(7, samples=40)
-    calls = []
+    checked = []
 
     def counted(tx, test, e0):
-        calls.append(tx.enterprise_id)
+        checked.append((tx.enterprise_id, id(test)))
         return verify_update(tx, test, e0)
 
     monkeypatch.setattr(sim, "verify_update", counted)
-    _, _, block = run_cycle(p, ents, GlobalModel.initial(2), streams)
-    assert sorted(set(calls)) == [0, 1, 2, 3]
-    assert all(calls.count(i) <= len(ents) for i in range(4))
-    calls.clear()
-    assert audit_block(block, ents, p)
-    assert len(calls) <= len(ents) * len(block.txs)
-    # the verdict is every other peer's
-    for tx in block.txs:
-        own = tx.enterprise_id % p.n_peers
-        assert all(verify_update(tx, ents[j % len(ents)].test, p.e0).accepted
-                   for j in range(p.n_peers) if j != own)
+    for f in (1, 2, 1000):
+        p = SystemParams(f=f, n_peers=3 * f + 1, t_max=20)
+        checked.clear()
+        _, _, block = run_cycle(p, ents, GlobalModel.initial(2), streams)
+        tx = block.txs[0]
+        stray = LocalUpdateTx.create(2 * len(ents) + 3, tx.weights,
+                                     tx.shared_gradient, tx.n_samples,
+                                     tx.created_at)
+        assert audit_block(Block.seal([stray], 0.0, p.h, p.delta_m), ents, p)
+        # every other peer's test set, by brute force over the peers
+        for eid in (*range(len(ents)), stray.enterprise_id):
+            own = eid % p.n_peers
+            want = {id(ents[j % len(ents)].test)
+                    for j in range(p.n_peers) if j != own}
+            got = [t for e, t in checked if e == eid]
+            assert sorted(got) == sorted(want), (f, eid)
 
 
 def test_run_cycle_is_reproducible():
@@ -487,7 +495,8 @@ def test_experiment_reports_every_field():
 
 def test_experiment_single_replication_has_no_std_err():
     stats = run_experiment(SystemParams(), 1, 0, warmup=5)
-    assert stats.std_err is None
+    assert set(stats.std_err) == set(ALL_FIELDS)
+    assert all(math.isnan(se) for se in stats.std_err.values())
 
 
 def test_experiment_is_deterministic_in_the_seed():

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,10 +21,7 @@ from .data import (Dataset, read_samples, read_text, split_dataset,
 from .domain import ALL_FIELDS, DEFAULT_PARAMS, SystemParams, parse_params_text
 from .sim import RandomStreams, check_experiment, run_experiment, run_training
 
-__all__ = [
-    "main", "parse_config", "format_value", "write_csv",
-    "sweep_values", "SweepSpec",
-]
+__all__ = ["main", "parse_config", "format_value", "write_csv"]
 
 SWEEPABLE = ("lambda", "f", "n_block", "mu")
 _INT_PARAMS = {"f", "n_block"}
@@ -34,8 +31,8 @@ MAX_SYNTHETIC_VALUES = 1 << 24
 
 
 def format_value(value) -> str:
-    """Render one CSV cell: 12 significant digits for floats, blank for None."""
-    if value is None or (isinstance(value, float) and np.isnan(value)):
+    """Render one CSV cell: 12 significant digits for floats, blank for NaN."""
+    if isinstance(value, float) and np.isnan(value):
         return ""
     if isinstance(value, float):
         return format(value, ".12g")
@@ -76,6 +73,14 @@ def _master_seed(args) -> int:
     return args.seed
 
 
+def _n_samples(args) -> int:
+    """The --n-samples of a latency command, capped like fl-run's --samples."""
+    if args.n_samples > MAX_SYNTHETIC_VALUES:
+        raise ValueError(f"--n-samples must be <= {MAX_SYNTHETIC_VALUES}, "
+                         f"got {args.n_samples}")
+    return args.n_samples
+
+
 def _adversary_ids(text: Optional[str]) -> list[int]:
     try:
         return [int(s) for s in text.split(",") if s] if text else []
@@ -95,46 +100,32 @@ def parse_config(path: Optional[str]) -> SystemParams:
         raise ValueError(f"{path}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """A validated parameter grid: param swept from start to stop by step."""
-
-    param: str
-    start: float
-    stop: float
-    step: float
-
-    def __post_init__(self) -> None:
-        if self.param not in SWEEPABLE:
-            raise ValueError(f"param must be one of {', '.join(SWEEPABLE)}")
-        if not self.step > 0:
-            raise ValueError("step must be positive")
-        if not self.start < self.stop:
-            raise ValueError("empty sweep range: start must be < stop")
-
-
-def sweep_values(spec: SweepSpec) -> list[float]:
-    span = np.floor((spec.stop - spec.start) / spec.step + 1e-9)
+def _sweep_points(base: SystemParams, param: str, start: float, stop: float,
+                  step: float) -> list[tuple[float, SystemParams]]:
+    """(value, params) for each grid value of param from start to stop by step."""
+    if not step > 0:
+        raise ValueError("step must be positive")
+    if not start < stop:
+        raise ValueError("empty sweep range: start must be < stop")
+    span = np.floor((stop - start) / step + 1e-9)
     if not span < MAX_SWEEP_POINTS:  # also catches an infinite span
         raise ValueError(f"sweep grid exceeds {MAX_SWEEP_POINTS} points")
-    values = [spec.start + k * spec.step for k in range(int(span) + 1)]
-    if spec.param in _INT_PARAMS:
-        for v in values:
-            if abs(v - round(v)) > 1e-9:
-                raise ValueError(f"{spec.param} sweep requires integer values")
-    return values
-
-
-def _point_params(base: SystemParams, param: str, value: float) -> SystemParams:
-    if param == "lambda":
-        return replace(base, lam=value)
-    if param == "mu":
-        return replace(base, mu=value)
-    if param == "n_block":
-        return replace(base, n_block=int(round(value)))
-    # an f sweep keeps the peer count consistent with the fault budget
-    f = int(round(value))
-    return replace(base, f=f, n_peers=3 * f + 1)
+    values = [start + k * step for k in range(int(span) + 1)]
+    # check every value before building any point, so a grid of 0, 0.5, 1
+    # reports its non-integer value rather than the point n_block=0
+    if param in _INT_PARAMS and any(abs(v - round(v)) > 1e-9 for v in values):
+        raise ValueError(f"{param} sweep requires integer values")
+    points = []
+    for v in values:
+        if param == "f":
+            # an f sweep keeps the peer count consistent with the fault budget
+            changes = {"f": round(v), "n_peers": 3 * round(v) + 1}
+        elif param == "n_block":
+            changes = {"n_block": round(v)}
+        else:
+            changes = {"lam" if param == "lambda" else "mu": v}
+        points.append((v, replace(base, **changes)))
+    return points
 
 
 def cmd_model(args) -> int:
@@ -142,7 +133,7 @@ def cmd_model(args) -> int:
     b = args.batch if args.batch is not None else p.n_block
     if not 1 <= b <= p.n_block:
         raise ValueError(f"batch must be within 1..{p.n_block} (n_block)")
-    bd = latency.t_total(p, args.n_samples, b)
+    bd = latency.t_total(p, _n_samples(args), b)
     row = [b, *(getattr(bd, name) for name in ALL_FIELDS)]
     write_csv(args.out, ("b",) + ALL_FIELDS, [row])
     return 0
@@ -151,7 +142,7 @@ def cmd_model(args) -> int:
 def cmd_simulate(args) -> int:
     p = parse_config(args.config)
     stats = run_experiment(p, args.reps, _master_seed(args),
-                           n_samples=args.n_samples,
+                           n_samples=_n_samples(args),
                            warmup=args.warmup, config_id=f"lambda={p.lam:g}")
     rows = [[stats.config_id, stats.replications, name, stats.mean[name],
              stats.std_err[name], stats.analytic[name], stats.rel_error[name]]
@@ -164,18 +155,17 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     base = parse_config(args.config)
     seed = _master_seed(args)
-    spec = SweepSpec(args.param, args.start, args.stop, args.step)
-    values = sweep_values(spec)
-    points = [_point_params(base, spec.param, v) for v in values]  # fail fast
-    for p in points:
+    n_samples = _n_samples(args)
+    points = _sweep_points(base, args.param, args.start, args.stop, args.step)
+    for _, p in points:  # fail fast
         check_experiment(p, args.reps, args.warmup)
     rows = []
-    for idx, (value, p) in enumerate(zip(values, points)):
+    for idx, (value, p) in enumerate(points):
         stats = run_experiment(p, args.reps, (seed, idx),
-                               n_samples=args.n_samples, warmup=args.warmup,
-                               config_id=f"{spec.param}={value:g}")
+                               n_samples=n_samples, warmup=args.warmup,
+                               config_id=f"{args.param}={value:g}")
         rows.append([
-            spec.param, value,
+            args.param, value,
             stats.mean["t_consensus"], stats.std_err["t_consensus"],
             stats.analytic["t_consensus"], stats.rel_error["t_consensus"],
             stats.mean["t_total"], stats.std_err["t_total"],
@@ -272,9 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "over BFT block commits.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, seeded=False):
         sp.add_argument("--config", help="key=value config file")
-        sp.add_argument("--seed", type=int, default=0, help="master seed")
+        if seeded:
+            sp.add_argument("--seed", type=int, default=0, help="master seed")
         sp.add_argument("--out", help="output CSV path (default stdout)")
 
     sp = sub.add_parser("model", help="print the predicted latency breakdown")
@@ -292,12 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "block; the queue starts stationary without any")
 
     sp = sub.add_parser("simulate", help="replicate the consensus pipeline")
-    common(sp)
+    common(sp, seeded=True)
     replicated(sp)
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("sweep", help="sweep one parameter across a grid")
-    common(sp)
+    common(sp, seeded=True)
     sp.add_argument("--param", required=True, choices=SWEEPABLE)
     sp.add_argument("--from", dest="start", type=float, required=True)
     sp.add_argument("--to", dest="stop", type=float, required=True)
@@ -313,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_optimal_lambda)
 
     sp = sub.add_parser("fl-run", help="train end to end over the chain")
-    common(sp)
+    common(sp, seeded=True)
     sp.add_argument("--data", help="comma-separated sample files, one per enterprise")
     sp.add_argument("--enterprises", type=int, default=4)
     sp.add_argument("--samples", type=int, default=500,

@@ -10,7 +10,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass, fields
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -25,7 +25,6 @@ __all__ = [
     "COMPONENT_FIELDS",
     "SUM_FIELDS",
     "ALL_FIELDS",
-    "validate_params",
     "tx_payload_bytes",
     "tx_digest",
     "parse_params_text",
@@ -82,45 +81,41 @@ class SystemParams:
     t_max: int = 500
 
     def __post_init__(self) -> None:
-        validate_params(self)
-
-
-def validate_params(p: SystemParams) -> SystemParams:
-    """Check every invariant, raising ValueError naming the first violation."""
-    for field in fields(p):
-        if field.name not in _INF_ALLOWED and not math.isfinite(getattr(p, field.name)):
-            raise ValueError(f"{_ATTR_TO_KEY.get(field.name, field.name)} must be finite")
-    if not p.lam > 0:
-        raise ValueError("lambda must be positive")
-    if not p.mu > 0:
-        raise ValueError("mu must be positive")
-    if not p.lam < p.mu:
-        raise ValueError("lambda must be < mu")
-    if p.f < 0:
-        raise ValueError("f must be >= 0")
-    if p.f > MAX_F:
-        raise ValueError(f"f must be <= {MAX_F}")
-    if p.n_peers != 3 * p.f + 1:
-        raise ValueError("n_peers must equal 3f+1")
-    if p.n_block < 1:
-        raise ValueError("n_block must be >= 1")
-    if p.n_block > MAX_N_BLOCK:
-        raise ValueError(f"n_block must be <= {MAX_N_BLOCK}")
-    if not p.tau > 0:
-        raise ValueError("tau must be positive")
-    for name in ("delta_m", "delta_d", "h", "f_c", "w_up", "w_dn",
-                 "gamma_up", "gamma_dn"):
-        if not getattr(p, name) > 0:
-            raise ValueError(f"{name} must be positive")
-    if not p.beta >= 0:
-        raise ValueError("beta must be >= 0")
-    if not p.epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    if not 0 <= p.e0 <= 1:
-        raise ValueError("e0 must be within [0, 1]")
-    if p.t_max < 1:
-        raise ValueError("t_max must be >= 1")
-    return p
+        """Check every invariant, raising ValueError naming the first violation."""
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.name not in _INF_ALLOWED and not math.isfinite(value):
+                raise ValueError(f"{_ATTR_TO_KEY.get(field.name, field.name)} must be finite")
+        if not self.lam > 0:
+            raise ValueError("lambda must be positive")
+        if not self.mu > 0:
+            raise ValueError("mu must be positive")
+        if not self.lam < self.mu:
+            raise ValueError("lambda must be < mu")
+        if self.f < 0:
+            raise ValueError("f must be >= 0")
+        if self.f > MAX_F:
+            raise ValueError(f"f must be <= {MAX_F}")
+        if self.n_peers != 3 * self.f + 1:
+            raise ValueError("n_peers must equal 3f+1")
+        if self.n_block < 1:
+            raise ValueError("n_block must be >= 1")
+        if self.n_block > MAX_N_BLOCK:
+            raise ValueError(f"n_block must be <= {MAX_N_BLOCK}")
+        if not self.tau > 0:
+            raise ValueError("tau must be positive")
+        for name in ("delta_m", "delta_d", "h", "f_c", "w_up", "w_dn",
+                     "gamma_up", "gamma_dn"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if not self.beta >= 0:
+            raise ValueError("beta must be >= 0")
+        if not self.epsilon > 0:
+            raise ValueError("epsilon must be positive")
+        if not 0 <= self.e0 <= 1:
+            raise ValueError("e0 must be within [0, 1]")
+        if self.t_max < 1:
+            raise ValueError("t_max must be >= 1")
 
 
 DEFAULT_PARAMS = SystemParams()
@@ -178,11 +173,6 @@ class Sample:
             raise ValueError("x must be finite")
         if self.y not in (-1, 1):
             raise ValueError("y must be -1 or +1")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sample):
-            return NotImplemented
-        return self.y == other.y and np.array_equal(self.x, other.x)
 
 
 def tx_payload_bytes(
@@ -250,26 +240,12 @@ class LocalUpdateTx:
             self.enterprise_id, self.weights, self.shared_gradient,
             self.n_samples, self.created_at)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LocalUpdateTx):
-            return NotImplemented
-        return (
-            self.enterprise_id == other.enterprise_id
-            and self.n_samples == other.n_samples
-            and self.created_at == other.created_at
-            and self.digest == other.digest
-            and np.array_equal(self.weights, other.weights)
-            and np.array_equal(self.shared_gradient, other.shared_gradient)
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class Block:
     """A sealed batch of update transactions ordered by creation time."""
 
     txs: tuple[LocalUpdateTx, ...]
-    sealed_at: float
-    size_bits: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "txs", tuple(self.txs))
@@ -280,27 +256,11 @@ class Block:
             raise ValueError("block txs must be ordered by created_at")
 
     @classmethod
-    def seal(
-        cls,
-        txs: Iterable[LocalUpdateTx],
-        sealed_at: float,
-        h: float,
-        delta_m: float,
-        n_block: Optional[int] = None,
-    ) -> "Block":
+    def seal(cls, txs: Iterable[LocalUpdateTx], n_block: int) -> "Block":
         txs = tuple(txs)
-        if n_block is not None and len(txs) > n_block:
+        if len(txs) > n_block:
             raise ValueError("block exceeds n_block capacity")
-        return cls(txs, sealed_at, h + delta_m * len(txs))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Block):
-            return NotImplemented
-        return (
-            self.sealed_at == other.sealed_at
-            and self.size_bits == other.size_bits
-            and self.txs == other.txs
-        )
+        return cls(txs)
 
 
 # Measured (or predicted) components, in the order CSV columns use them.

@@ -35,9 +35,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GlobalModel:
-    """Global weights after `cycle` rounds, with the shared anchor gradient.
+    """Global weights with the shared anchor gradient.
 
     full_gradient is None only for the cycle-0 bootstrap model, where each
     enterprise anchors on a gradient of its own data instead.
@@ -45,7 +45,6 @@ class GlobalModel:
 
     weights: np.ndarray
     full_gradient: Optional[np.ndarray]
-    cycle: int = 0
 
     def __post_init__(self) -> None:
         w = np.array(self.weights, dtype=np.float64)
@@ -61,12 +60,10 @@ class GlobalModel:
                 raise ValueError("full_gradient dimension mismatch")
             if not np.isfinite(g).all():
                 raise ValueError("full_gradient must be finite")
-        if self.cycle < 0:
-            raise ValueError("cycle must be >= 0")
 
     @classmethod
     def initial(cls, dim: int) -> "GlobalModel":
-        return cls(np.zeros(dim), None, 0)
+        return cls(np.zeros(dim), None)
 
 
 def sigmoid(z):

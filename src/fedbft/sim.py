@@ -251,12 +251,11 @@ def run_cycle(
     arr = arrival_times(p.lam, len(verified), streams.arrivals)
     batch = run_leader_batching(p, arr, streams.services)
     block_txs = verified[:batch.b]
-    block = Block.seal(block_txs, batch.seal_time, p.h, p.delta_m, p.n_block)
+    block = Block.seal(block_txs, p.n_block)
     voting = run_pbft_round(p, streams)
 
     new_weights = aggregate_global(model.weights, block_txs)
-    new_model = GlobalModel(new_weights, global_full_gradient(block_txs),
-                            model.cycle + 1)
+    new_model = GlobalModel(new_weights, global_full_gradient(block_txs))
     breakdown = replace(
         latency.t_total(p, max(tx.n_samples for tx in block_txs), batch.b),
         t_preprepare=batch.block_sojourn_total, t_prepare=voting.t_prepare,

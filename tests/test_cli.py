@@ -10,7 +10,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from fedbft import cli, latency, sim
-from fedbft.cli import SweepSpec, format_value, main, parse_config, sweep_values
+from fedbft.cli import format_value, main, parse_config
 from fedbft.data import two_class_gaussian, split_dataset
 from fedbft.domain import ALL_FIELDS, DEFAULT_PARAMS, SystemParams
 from fedbft.sim import RandomStreams, run_training
@@ -28,7 +28,6 @@ def run_cli(args, capsys):
 def test_format_value():
     assert format_value(0.596025) == "0.596025"
     assert format_value(1 / 3) == "0.333333333333"  # 12 significant digits
-    assert format_value(None) == ""
     assert format_value(float("nan")) == ""
     assert format_value(42) == "42"
     assert format_value("lambda=100") == "lambda=100"
@@ -125,25 +124,35 @@ def test_simulate_analytic_column_is_the_model_row(capsys):
 
 # --- sweep ---
 
+def sweep_points(param, start, stop, step, base=DEFAULT_PARAMS):
+    return cli._sweep_points(base, param, start, stop, step)
+
+
 def test_sweep_values_inclusive_grid():
-    spec = SweepSpec("lambda", 50.0, 150.0, 50.0)
-    assert sweep_values(spec) == [50.0, 100.0, 150.0]
+    points = sweep_points("lambda", 50.0, 150.0, 50.0)
+    assert [v for v, _ in points] == [50.0, 100.0, 150.0]
+    assert [p.lam for _, p in points] == [50.0, 100.0, 150.0]
+    # an f sweep keeps n_peers = 3f + 1
+    points = sweep_points("f", 1.0, 3.0, 1.0)
+    assert [(p.f, p.n_peers) for _, p in points] == [(1, 4), (2, 7), (3, 10)]
 
 
 def test_sweep_spec_validation():
-    with pytest.raises(ValueError, match="param must be one of"):
-        SweepSpec("tau", 1.0, 2.0, 1.0)
     with pytest.raises(ValueError, match="start must be < stop"):
-        SweepSpec("lambda", 5.0, 5.0, 1.0)
+        sweep_points("lambda", 5.0, 5.0, 1.0)
     with pytest.raises(ValueError, match="step must be positive"):
-        SweepSpec("lambda", 1.0, 2.0, 0.0)
+        sweep_points("lambda", 1.0, 2.0, 0.0)
     with pytest.raises(ValueError, match="integer values"):
-        sweep_values(SweepSpec("f", 1.0, 2.0, 0.5))
+        sweep_points("f", 1.0, 2.0, 0.5)
+    # every value is checked before any point: n_block=0 comes first here
+    with pytest.raises(ValueError, match="n_block sweep requires integer values"):
+        sweep_points("n_block", 0.0, 1.0, 0.5)
     # the point count is checked before the grid is built
-    assert len(sweep_values(SweepSpec("lambda", 0.0, 9999.0, 1.0))) == 10_000
+    fast = SystemParams(mu=1e5)
+    assert len(sweep_points("lambda", 1.0, 10_000.0, 1.0, fast)) == 10_000
     for stop, step in ((10_000.0, 1.0), (1e6, 1e-9), (1e308, 1e-308)):
         with pytest.raises(ValueError, match="sweep grid exceeds 10000 points"):
-            sweep_values(SweepSpec("lambda", 0.0, stop, step))
+            sweep_points("lambda", 0.0, stop, step)
 
 
 def test_sweep_over_lambda(capsys):
@@ -195,6 +204,15 @@ def test_sweep_fails_fast_before_any_output(capsys):
     (["fl-run", "--samples", "100000", "--features", "300"],
      "error: (--enterprises x --samples + --holdout) x --features must be "
      "<= 16777216, got 120600000\n"),
+    (["model", "--n-samples", "16777217"],
+     "error: --n-samples must be <= 16777216, got 16777217\n"),
+    (["model", "--n-samples", str(10**400)],
+     f"error: --n-samples must be <= 16777216, got {10**400}\n"),
+    (["simulate", "--reps", "2", "--n-samples", str(10**400)],
+     f"error: --n-samples must be <= 16777216, got {10**400}\n"),
+    (["sweep", "--param", "lambda", "--from", "50", "--to", "100", "--step", "50",
+      "--reps", "2", "--n-samples", str(10**400)],
+     f"error: --n-samples must be <= 16777216, got {10**400}\n"),
 ])
 def test_out_of_range_sizes_are_rejected(argv, err, capsys):
     code, out, got = run_cli(argv, capsys)
@@ -332,6 +350,13 @@ def test_negative_seed_names_the_flag(command, capsys):
     assert code == 1
     assert out == ""
     assert err == "error: --seed must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("command", ["model", "optimal-lambda"])
+def test_unseeded_command_takes_no_seed(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", "1"])
+    assert exc.value.code == 2
 
 
 def test_fl_run_rejects_non_integer_adversary_ids(capsys):
@@ -572,11 +597,13 @@ def cli_argv(draw):
         *(files(n) for n in ("inf_mu.cfg", "huge_n_block.cfg", "huge_f.cfg",
                              "bad_key.cfg", "binary.bin", "folder",
                              "missing.cfg"))))
-    argv += opt("--seed", mostly(st.none() | ints(0, 5), -1))
+    if command in ("simulate", "sweep", "fl-run"):
+        argv += opt("--seed", mostly(st.none() | ints(0, 5), -1))
     argv += opt("--out", mostly(st.sampled_from([None, "-", files("out.csv")]),
                                 files("missing/out.csv")))
     if command in ("model", "simulate", "sweep"):
-        argv += opt("--n-samples", mostly(st.none() | ints(1, 1000), 0, -1))
+        argv += opt("--n-samples", mostly(st.none() | ints(1, 1000), 0, -1,
+                                          10**400))
     if command == "model":
         argv += opt("--batch", mostly(st.none() | ints(1, 10), 0, 500))
     if command in ("simulate", "sweep"):
@@ -623,6 +650,9 @@ def cli_argv(draw):
 @example(argv=["simulate", "--config={root}/huge_n_block.cfg", "--reps=1"])
 @example(argv=["fl-run", "--config={root}/huge_f.cfg", "--cycle-cap=1"])
 @example(argv=["fl-run", "--samples=1000000000000", "--cycle-cap=1"])
+@example(argv=["model", f"--n-samples={10**400}"])
+@example(argv=["sweep", "--param=lambda", "--from=50", "--to=100", "--step=50",
+               "--reps=2", f"--n-samples={10**400}"])
 def test_no_argv_ends_in_a_traceback(input_files, argv):
     argv = [arg.replace("{root}", str(input_files)) for arg in argv]
     out, err = io.StringIO(), io.StringIO()

@@ -200,7 +200,7 @@ def reference_local_weights(model, ds, p, rng):
 def test_local_cycle_equals_reference_loop_bit_for_bit(dim, anchored):
     rng = np.random.default_rng(dim)
     ds = two_class_gaussian(80, dim, 3.0, rng)
-    model = (GlobalModel(rng.normal(size=dim), rng.normal(size=dim) * 0.1, 1)
+    model = (GlobalModel(rng.normal(size=dim), rng.normal(size=dim) * 0.1)
              if anchored else GlobalModel.initial(dim))
     p = SystemParams(beta=2.0, t_max=300)
     fast_rng = np.random.default_rng(5)
@@ -217,7 +217,7 @@ def test_local_cycle_fixed_point_at_zero_anchor_gradient():
     rng = np.random.default_rng(3)
     ds = two_class_gaussian(12, 2, 1.0, rng)
     w0 = rng.normal(size=2)
-    model = GlobalModel(w0, np.zeros(2), cycle=1)
+    model = GlobalModel(w0, np.zeros(2))
     tx = svrg_local_cycle(model, ds, SystemParams(beta=0.5, t_max=40), rng)
     np.testing.assert_array_equal(tx.weights, w0)
 
@@ -236,7 +236,7 @@ def test_bootstrap_anchors_on_own_gradient():
 def test_local_cycle_zero_beta_never_moves():
     rng = np.random.default_rng(11)
     ds = two_class_gaussian(10, 2, 1.0, rng)
-    model = GlobalModel(rng.normal(size=2), rng.normal(size=2), cycle=1)
+    model = GlobalModel(rng.normal(size=2), rng.normal(size=2))
     tx = svrg_local_cycle(model, ds, SystemParams(beta=0.0, t_max=50), rng)
     np.testing.assert_array_equal(tx.weights, model.weights)
 
@@ -438,7 +438,6 @@ def test_initial_model():
     m = GlobalModel.initial(3)
     np.testing.assert_array_equal(m.weights, np.zeros(3))
     assert m.full_gradient is None
-    assert m.cycle == 0
 
 
 def test_model_rejects_mismatched_gradient():

@@ -158,7 +158,7 @@ def cmd_sweep(args) -> int:
     n_samples = _n_samples(args)
     points = _sweep_points(base, args.param, args.start, args.stop, args.step)
     for _, p in points:  # fail fast
-        check_experiment(p, args.reps, args.warmup)
+        check_experiment(p, args.reps, args.warmup, n_samples)
     rows = []
     for idx, (value, p) in enumerate(points):
         stats = run_experiment(p, args.reps, (seed, idx),

@@ -273,7 +273,8 @@ ALL_FIELDS = COMPONENT_FIELDS + SUM_FIELDS
 @dataclass(frozen=True)
 class LatencyBreakdown:
     """Per-cycle delay components in seconds, or arrays of them with one
-    entry per replication; sums are derived, never stored."""
+    entry per replication; sums are derived, never stored.  Every
+    component is >= 0 and finite, and so is t_total."""
 
     t_local: float
     t_up: float
@@ -287,6 +288,13 @@ class LatencyBreakdown:
         for name in COMPONENT_FIELDS:
             if (np.asarray(getattr(self, name)) < 0).any():
                 raise ValueError(f"{name} must be >= 0")
+        # no component is negative here, so a NaN or inf component leaves
+        # the sum non-finite, and so does a sum of finite ones that overflows
+        if not np.isfinite(self.t_total).all():
+            bad = next((name for name in COMPONENT_FIELDS
+                        if not np.isfinite(getattr(self, name)).all()),
+                       "t_total")
+            raise ValueError(f"{bad} must be finite")
 
     @property
     def t_update(self) -> float:

@@ -106,7 +106,7 @@ def _margins(w: np.ndarray, ds: Dataset) -> np.ndarray:
 def average_gradient(w: np.ndarray, ds: Dataset) -> np.ndarray:
     """Mean per-sample gradient over a whole dataset."""
     s = sigmoid(_margins(w, ds))
-    return (ds.x * (ds.y * s)[:, None]).mean(axis=0)
+    return ((ds.y * s) @ ds.x) / len(ds)
 
 
 def mean_loss(w: np.ndarray, ds: Dataset) -> float:
@@ -159,19 +159,21 @@ def svrg_local_cycle(
         anchor_grad = average_gradient(anchor_w, ds)
 
     signed_x = ds.x * ds.y[:, None]                      # rows are y_k * x_k
-    anchor_s = sigmoid(_margins(anchor_w, ds))
+    anchor_s = sigmoid(_margins(anchor_w, ds)).tolist()
     step = p.beta / n_i
 
-    # Same indices and final rng state as t_max scalar draws, and the same
-    # operation order as step * (g_now - anchor_term_k + anchor_grad).
-    w = anchor_w.copy()
-    for k in rng.integers(n_i, size=p.t_max):
+    # Lazy form: the step t iterate is w_t = u_t - t*c with c = step *
+    # anchor_grad, so the constant anchor term is applied once at the end
+    # and each step is one dot and one axpy, with row.w_t = row.u_t - t*r_k.
+    # The indices are one block with the rng state of t_max scalar draws.
+    c = step * anchor_grad
+    r = (signed_x @ c).tolist()
+    u = anchor_w.copy()
+    for t, k in enumerate(rng.integers(n_i, size=p.t_max).tolist()):
         row = signed_x[k]
-        g = row * sigmoid(float(row @ w))
-        g -= row * anchor_s[k]
-        g += anchor_grad
-        g *= step
-        w -= g
+        s = sigmoid(float(row @ u) - t * r[k])
+        u -= (step * (s - anchor_s[k])) * row
+    w = u - p.t_max * c
     if not np.isfinite(w).all():
         raise ValueError("local update diverged; reduce beta")
 

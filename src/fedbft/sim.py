@@ -67,12 +67,17 @@ class RandomStreams:
         return cls._from_seed_seq(np.random.SeedSequence(key + (rep,)))
 
 
-def sample_exponential(rate: float, rng: np.random.Generator, size=None):
-    """Inverse-CDF exponential draw(s): -ln(u)/rate with u in (0, 1]."""
+def sample_exponential(rate: float, rng: np.random.Generator, size=None,
+                       out=None):
+    """Inverse-CDF exponential draw(s): -ln(u)/rate with u in (0, 1].
+
+    With ``out``, a C-contiguous float64 array, the draws fill it in place
+    and it is returned; the values are those of a fresh draw of its shape.
+    """
     if not rate > 0:
         raise ValueError("rate must be positive")
-    u = rng.random(size)
-    return np.log1p(-u) / -rate
+    u = rng.random(size, out=out)
+    return np.divide(np.log1p(np.negative(u, out=out), out=out), -rate, out=out)
 
 
 def arrival_times(lam: float, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -355,6 +360,11 @@ def _replication_draws(p: SystemParams, replications: int, master_seed,
     n = warmup + p.n_block
     step = max(1, _CHUNK_ELEMENTS // _row_width(p, warmup))
     draws = np.empty((replications, 4))
+    # one set of buffers for the run; a short last call uses leading rows
+    most = min(step, _CHUNK_REPS, replications)
+    gap_buf = np.empty((most, n + 4 * p.f))
+    service_buf = np.empty((most, n + 2 * (2 * p.f + 1) + 1))
+    arrival_buf = np.empty((most, n))
     for first in range(0, replications, _CHUNK_REPS):
         streams = RandomStreams.for_replication(master_seed,
                                                 first // _CHUNK_REPS)
@@ -363,11 +373,11 @@ def _replication_draws(p: SystemParams, replications: int, master_seed,
             rows = min(step, last - lo)
             out = draws[lo:lo + rows]
             gaps = sample_exponential(p.lam, streams.arrivals,
-                                      (rows, n + 4 * p.f))
+                                      out=gap_buf[:rows])
             services = sample_exponential(p.mu, streams.services,
-                                          (rows, n + 2 * (2 * p.f + 1) + 1))
+                                          out=service_buf[:rows])
             services[:, 0] += _initial_wait(p, services[:, -1])
-            arrivals = np.cumsum(gaps[:, :n], axis=1)
+            arrivals = np.cumsum(gaps[:, :n], axis=1, out=arrival_buf[:rows])
             b, _, _, D = _serve(p, arrivals, services[:, :n], warmup)
             # each block's sojourns, summed in arrival order
             sums = np.cumsum(D[:, warmup:] - arrivals[:, warmup:], axis=1)
@@ -378,9 +388,11 @@ def _replication_draws(p: SystemParams, replications: int, master_seed,
     return draws
 
 
-def check_experiment(p: SystemParams, replications: int, warmup: int) -> None:
-    """Reject a bad replication count or warm-up, or a run that would draw
-    more than ``MAX_DRAWS`` values, before anything is drawn."""
+def check_experiment(p: SystemParams, replications: int, warmup: int,
+                     n_samples: int) -> None:
+    """Reject a bad replication count or warm-up, a run that would draw
+    more than ``MAX_DRAWS`` values, or a bad n_samples or non-finite
+    model, before anything is drawn."""
     if replications < 1:
         raise ValueError("replications must be >= 1")
     if replications > MAX_REPS:
@@ -393,6 +405,8 @@ def check_experiment(p: SystemParams, replications: int, warmup: int) -> None:
     if replications * width > MAX_DRAWS:
         raise ValueError(f"replications x draws per replication must be <= "
                          f"{MAX_DRAWS}, got {replications} x {width}")
+    # no b up to n_block predicts more than b = n_block
+    latency.t_total(p, n_samples, p.n_block)
 
 
 def _stat_row(values: np.ndarray) -> tuple[float, float]:
@@ -421,8 +435,7 @@ def run_experiment(
     replaced by simulated ones.  Every field, the four sums included, gets
     a mean, a standard error, the mean prediction and a relative error.
     """
-    check_experiment(p, replications, warmup)
-    latency.t_local_update(p.delta_d, n_samples, p.f_c)  # rejects n_samples < 1
+    check_experiment(p, replications, warmup, n_samples)
     bs, pre, prep, com = _replication_draws(p, replications, master_seed,
                                             warmup).T
     distinct, which = np.unique(bs, return_inverse=True)

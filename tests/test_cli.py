@@ -2,6 +2,7 @@
 import contextlib
 import io
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -382,7 +383,8 @@ def test_simulate_caps_reps_and_warmup(flags, message, capsys):
     assert err == f"error: {message}\n"
 
 
-def test_sweep_checks_every_point_before_the_first_runs(capsys, monkeypatch):
+def test_sweep_checks_every_point_before_the_first_runs(tmp_path, capsys,
+                                                         monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("a point ran before the grid was checked")
     monkeypatch.setattr(cli, "run_experiment", no_work)
@@ -394,6 +396,13 @@ def test_sweep_checks_every_point_before_the_first_runs(capsys, monkeypatch):
     assert out == ""
     assert err == ("error: replications x draws per replication must be <= "
                    "1073741824, got 2000 x 1000011\n")
+    # the second point, n_block = 1000, overflows t_dn = (h + b delta_m)/C
+    cfg = tmp_path / "big_model.cfg"
+    cfg.write_text("delta_m=1e306\n")
+    code, out, err = run_cli(["sweep", "--param", "n_block", "--from", "100",
+                              "--to", "1000", "--step", "900", "--reps", "2",
+                              "--config", str(cfg)], capsys)
+    assert (code, out, err) == (1, "", "error: t_dn must be finite\n")
 
 
 def test_huge_config_sizes_are_rejected(tmp_path, capsys):
@@ -403,6 +412,29 @@ def test_huge_config_sizes_are_rejected(tmp_path, capsys):
                              capsys)
     assert (code, out) == (1, "")
     assert err == f"error: {cfg}: n_block must be <= 1000000\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["model"],
+    ["simulate", "--reps", "2"],
+    ["sweep", "--param", "lambda", "--from", "50", "--to", "100", "--step", "50",
+     "--reps", "2"],
+    ["fl-run", "--samples", "20", "--holdout", "20", "--cycle-cap", "1"],
+])
+def test_overflowing_latency_is_an_error(command, tmp_path, capsys,
+                                        monkeypatch):
+    # every value is finite, but delta_d x n_samples overflows in t_local;
+    # simulate and sweep find that before drawing anything
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew replications for a non-finite model")
+    monkeypatch.setattr(sim, "_replication_draws", no_draws)
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text("delta_d=1e308\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning fails the test
+        code, out, err = run_cli([*command, "--config", str(cfg)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: t_local must be finite\n"
 
 
 def test_fl_run_rejects_zero_enterprises(capsys):
@@ -554,6 +586,7 @@ def input_files(tmp_path_factory):
         "inf_mu.cfg": "mu=inf\n",
         "huge_n_block.cfg": "n_block=1000000000000\n",
         "huge_f.cfg": "f=1000000000000\nn_peers=3000000000001\n",
+        "overflow.cfg": "delta_d=1e308\n",
         "bad_key.cfg": "what=1\n",
         "bad_label.txt": "2 0.5\n",
     }
@@ -595,8 +628,8 @@ def cli_argv(draw):
         st.sampled_from([None, files("small.cfg"), files("timeout.cfg"),
                          files("faults.cfg")]),
         *(files(n) for n in ("inf_mu.cfg", "huge_n_block.cfg", "huge_f.cfg",
-                             "bad_key.cfg", "binary.bin", "folder",
-                             "missing.cfg"))))
+                             "overflow.cfg", "bad_key.cfg", "binary.bin",
+                             "folder", "missing.cfg"))))
     if command in ("simulate", "sweep", "fl-run"):
         argv += opt("--seed", mostly(st.none() | ints(0, 5), -1))
     argv += opt("--out", mostly(st.sampled_from([None, "-", files("out.csv")]),
@@ -648,6 +681,7 @@ def cli_argv(draw):
 @example(argv=["sweep", "--param=lambda", "--from=50", "--to=100", "--step=50",
                "--reps=1000000", "--warmup=1000000"])
 @example(argv=["simulate", "--config={root}/huge_n_block.cfg", "--reps=1"])
+@example(argv=["simulate", "--config={root}/overflow.cfg", "--reps=2"])
 @example(argv=["fl-run", "--config={root}/huge_f.cfg", "--cycle-cap=1"])
 @example(argv=["fl-run", "--samples=1000000000000", "--cycle-cap=1"])
 @example(argv=["model", f"--n-samples={10**400}"])

@@ -221,6 +221,18 @@ def test_breakdown_rejects_negative_component():
         LatencyBreakdown(0, 0, 0, 0, np.array([np.nan, -1.0]), 0, 0)
 
 
+def test_breakdown_rejects_non_finite_values():
+    with pytest.raises(ValueError, match="t_local must be finite"):
+        LatencyBreakdown(math.inf, 0, 0, 0, 0, 0, 0)
+    with pytest.raises(ValueError, match="t_up must be finite"):
+        LatencyBreakdown(0, math.nan, 0, 0, 0, 0, 0)
+    with pytest.raises(ValueError, match="t_preprepare must be finite"):
+        LatencyBreakdown(0, 0, np.array([1.0, np.nan]), 0, 0, 0, 0)
+    # finite components whose sum overflows
+    with pytest.raises(ValueError, match="t_total must be finite"):
+        LatencyBreakdown(1e308, 0, 0, 0, 0, 0, 1e308)
+
+
 def test_component_field_order_matches_pipeline():
     assert COMPONENT_FIELDS == ("t_local", "t_up", "t_preprepare",
                                 "t_prepare", "t_commit", "t_dn", "t_global")

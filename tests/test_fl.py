@@ -112,12 +112,14 @@ def test_average_gradient_single_sample():
 
 
 def test_average_gradient_is_mean_of_sample_gradients():
+    # the smallest shape, and the fl-adversary benchmark's training set
     rng = np.random.default_rng(7)
-    ds = two_class_gaussian(20, 3, 2.0, rng)
-    w = rng.normal(size=3)
-    per_sample = np.stack([sample_gradient(w, s) for s in samples(ds)])
-    np.testing.assert_allclose(average_gradient(w, ds), per_sample.mean(axis=0),
-                               rtol=1e-12)
+    for n, dim in [(20, 3), (400, 300)]:
+        ds = two_class_gaussian(n, dim, 2.0, rng)
+        w = rng.normal(size=dim)
+        per_sample = np.stack([sample_gradient(w, s) for s in samples(ds)])
+        np.testing.assert_allclose(average_gradient(w, ds),
+                                   per_sample.mean(axis=0), rtol=1e-12)
 
 
 def test_mean_loss_matches_sample_loop():
@@ -197,7 +199,9 @@ def reference_local_weights(model, ds, p, rng):
 
 
 @pytest.mark.parametrize("dim,anchored", [(2, False), (2, True), (300, True)])
-def test_local_cycle_equals_reference_loop_bit_for_bit(dim, anchored):
+def test_local_cycle_matches_reference_loop(dim, anchored):
+    # the lazy step regroups the same arithmetic, so only rounding differs;
+    # the indices drawn and the final rng state are the reference's
     rng = np.random.default_rng(dim)
     ds = two_class_gaussian(80, dim, 3.0, rng)
     model = (GlobalModel(rng.normal(size=dim), rng.normal(size=dim) * 0.1)
@@ -205,9 +209,9 @@ def test_local_cycle_equals_reference_loop_bit_for_bit(dim, anchored):
     p = SystemParams(beta=2.0, t_max=300)
     fast_rng = np.random.default_rng(5)
     ref_rng = np.random.default_rng(5)
-    tx = svrg_local_cycle(model, ds, p, fast_rng)
-    np.testing.assert_array_equal(tx.weights,
-                                  reference_local_weights(model, ds, p, ref_rng))
+    w = svrg_local_cycle(model, ds, p, fast_rng).weights
+    ref = reference_local_weights(model, ds, p, ref_rng)
+    assert np.linalg.norm(w - ref) <= 1e-12 * np.linalg.norm(ref)
     assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
 
 

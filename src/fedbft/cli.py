@@ -3,7 +3,8 @@
 All commands write CSV with a header row, '.' decimals, 12 significant
 digits and '\n' line endings, so identical inputs and seeds give
 byte-identical files.  Errors exit nonzero after a single
-"error: <reason>" line on stderr.
+"error: <reason>" line on stderr; a stalled fl-run exits 1 after its CSV
+and its "result=stalled" line.
 """
 from __future__ import annotations
 
@@ -44,13 +45,25 @@ def write_csv(out: Optional[str], header: Sequence[str], rows) -> None:
     for row in rows:
         text += ",".join(format_value(v) for v in row) + "\n"
     if out is None or out == "-":
-        sys.stdout.write(text)
+        _write_stdout(text)
     else:
         try:
             with open(out, "w", newline="\n") as fh:
                 fh.write(text)
         except OSError as exc:
             raise ValueError(f"cannot write {out}: {exc.strerror}") from None
+
+
+def _write_stdout(text: str) -> None:
+    """Write and flush stdout; a full or closed stdout is a ValueError."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # the interpreter flushes stdout again at exit; point it at devnull
+        # so that flush cannot fail too (the SIGPIPE note in the signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise ValueError(f"cannot write stdout: {exc.strerror}") from None
 
 
 def _check_writable(out: Optional[str]) -> None:
@@ -244,15 +257,17 @@ def cmd_fl_run(args) -> int:
     header = ("cycle", "weight_delta", "holdout_accuracy", "train_loss",
               "block_txs") + ALL_FIELDS
     write_csv(args.out, header, run.rows)
-    reason = "converged" if run.converged else "cycle-cap"
-    summary = f"result={reason} cycles={len(run.rows)}"
+    summary = f"result={run.result} cycles={len(run.rows)}"
     if adversaries:
         admitted = sum(any(tx.enterprise_id in adversaries for tx in block.txs)
                        for block in run.blocks)
         summary += f" adversary_blocks={admitted}"
     # keep stdout clean when it is carrying the CSV
-    print(summary, file=sys.stderr if args.out in (None, "-") else sys.stdout)
-    return 0
+    if args.out in (None, "-"):
+        print(summary, file=sys.stderr)
+    else:
+        _write_stdout(summary + "\n")
+    return 1 if run.result == "stalled" else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "SystemParams",
     "DEFAULT_PARAMS",
-    "Sample",
     "LocalUpdateTx",
     "Block",
     "LatencyBreakdown",
@@ -156,23 +155,6 @@ def _frozen_array(values: Sequence[float] | np.ndarray) -> np.ndarray:
     arr = np.array(values, dtype=np.float64)
     arr.setflags(write=False)
     return arr
-
-
-@dataclass(frozen=True, eq=False)
-class Sample:
-    """A single labelled observation with y in {-1, +1}."""
-
-    x: np.ndarray
-    y: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", _frozen_array(self.x))
-        if self.x.ndim != 1 or self.x.size == 0:
-            raise ValueError("x must be a nonempty vector")
-        if not np.isfinite(self.x).all():
-            raise ValueError("x must be finite")
-        if self.y not in (-1, 1):
-            raise ValueError("y must be -1 or +1")
 
 
 def tx_payload_bytes(

@@ -8,21 +8,18 @@ mixes enterprise updates weighted by their sample counts.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .data import Dataset
-from .domain import LocalUpdateTx, Sample, SystemParams
+from .domain import LocalUpdateTx, SystemParams
 
 __all__ = [
     "GlobalModel",
     "VerifyResult",
     "sigmoid",
-    "logistic_loss",
-    "sample_gradient",
     "average_gradient",
     "mean_loss",
     "pooled_mean_loss",
@@ -77,25 +74,6 @@ def sigmoid(z):
     return float(out) if out.ndim == 0 else out
 
 
-def _check_dims(w: np.ndarray, x: np.ndarray) -> None:
-    if w.shape != x.shape:
-        raise ValueError("weight and feature dimensions differ")
-
-
-def logistic_loss(w: np.ndarray, sample: Sample) -> float:
-    """log(1 + exp(y * w.x)), computed without overflow for any margin."""
-    _check_dims(np.asarray(w), sample.x)
-    z = sample.y * float(np.dot(w, sample.x))
-    return float(np.logaddexp(0.0, z))
-
-
-def sample_gradient(w: np.ndarray, sample: Sample) -> np.ndarray:
-    """Gradient of the per-sample loss: y * x * sigmoid(y * w.x)."""
-    _check_dims(np.asarray(w), sample.x)
-    z = sample.y * float(np.dot(w, sample.x))
-    return sample.y * sample.x * sigmoid(z)
-
-
 def _margins(w: np.ndarray, ds: Dataset) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (ds.dim,):
@@ -114,7 +92,7 @@ def mean_loss(w: np.ndarray, ds: Dataset) -> float:
 
 
 def pooled_mean_loss(w: np.ndarray, datasets: Sequence[Dataset]) -> float:
-    """Sample-weighted mean loss across all enterprises."""
+    """Mean loss across all enterprises, weighted by their sample counts."""
     total = sum(len(d) for d in datasets)
     return sum(mean_loss(w, d) * len(d) for d in datasets) / total
 
@@ -223,7 +201,8 @@ def has_converged(w: np.ndarray, w_prev: np.ndarray, epsilon: float) -> bool:
     """Stop when the Euclidean move ||w - w_prev|| is at most epsilon."""
     w = np.asarray(w)
     w_prev = np.asarray(w_prev)
-    _check_dims(w, w_prev)
+    if w.shape != w_prev.shape:
+        raise ValueError("weight dimensions differ")
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     return float(np.linalg.norm(w - w_prev)) <= epsilon

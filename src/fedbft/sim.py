@@ -12,12 +12,13 @@ an honest peer as the sum of its vote gaps and message processing draws
 (``_phase_sums``).
 
 ``run_cycle`` drives one training cycle through that pipeline, one stream
-at a time, and ``run_training`` repeats cycles until the stop rule.
-``run_experiment`` replicates the pipeline and sets the measured delays
-beside ``latency.t_total`` at each realized b.  Each replication starts
-the queue in its exact stationary state, and each chunk of 256
-replications reads one pair of streams; README "Determinism" sets out
-that contract.
+at a time: ``run_leader_batching`` gives the block's size and sojourn
+total, ``run_pbft_round`` its prepare and commit delays.  ``run_training``
+repeats cycles until the stop rule.  ``run_experiment`` replicates the
+pipeline and sets the measured delays beside ``latency.t_total`` at each
+realized b.  Each replication starts the queue in its exact stationary
+state, and each chunk of 256 replications reads one pair of streams;
+README "Determinism" sets out that contract.
 """
 from __future__ import annotations
 
@@ -36,9 +37,8 @@ from .fl import (GlobalModel, accuracy, aggregate_global, global_full_gradient,
 from . import latency
 
 __all__ = [
-    "RandomStreams", "sample_exponential", "arrival_times",
-    "LeaderBatch", "run_leader_batching",
-    "ConsensusTiming", "run_pbft_round",
+    "RandomStreams", "sample_exponential",
+    "run_leader_batching", "run_pbft_round",
     "run_cycle", "TrainingRun", "run_training",
     "check_experiment", "run_experiment", "audit_block",
 ]
@@ -80,31 +80,6 @@ def sample_exponential(rate: float, rng: np.random.Generator, size=None,
     return np.divide(np.log1p(np.negative(u, out=out), out=out), -rate, out=out)
 
 
-def arrival_times(lam: float, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Times of the first `count` arrivals of a rate-lam Poisson process."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    return np.cumsum(sample_exponential(lam, rng, count))
-
-
-@dataclass(frozen=True)
-class LeaderBatch:
-    """Outcome of serving one arrival stream through the leader's queue.
-
-    ``sojourns`` covers every transaction in the stream; the sealed block
-    holds the first ``b`` of them.
-    """
-
-    b: int
-    seal_time: float
-    sojourns: np.ndarray
-    timed_out: bool
-
-    @property
-    def block_sojourn_total(self) -> float:
-        return float(self.sojourns[:self.b].sum())
-
-
 def _serve(p: SystemParams, arrivals: np.ndarray, services: np.ndarray,
            first_tx: int):
     """FIFO departures and the seal rule: the simulator's one queue kernel.
@@ -138,36 +113,22 @@ def _serve(p: SystemParams, arrivals: np.ndarray, services: np.ndarray,
     return b, seal_time, ~full & finite, D
 
 
-def run_leader_batching(
-    p: SystemParams,
-    arrivals: np.ndarray,
-    rng: np.random.Generator,
-) -> LeaderBatch:
-    """Serve an arrival stream FIFO at rate mu and seal one block.
+def run_leader_batching(p: SystemParams, n: int,
+                        streams: RandomStreams) -> tuple[int, float]:
+    """Serve n transactions FIFO at rate mu and seal one block.
 
-    The block closes at the earlier of p.n_block transactions served or
-    p.tau after the first arrival -- but never before the first
-    completion.  Exhausting the stream flushes whatever has been served.
-    All service times are drawn from ``rng`` up front in arrival order.
+    Draws n Poisson(lambda) arrival gaps from ``streams.arrivals`` and n
+    Exp(mu) services from ``streams.services``, then applies ``_serve``'s
+    seal rule.  Returns the block's size b and its sojourn total, the sum
+    of departure minus arrival over its b transactions.
     """
-    arrivals = np.asarray(arrivals, dtype=np.float64)
-    n = arrivals.size
-    if n == 0:
+    if n < 1:
         raise ValueError("no arrivals to batch")
-    if np.any(np.diff(arrivals) < 0) or arrivals[0] < 0:
-        raise ValueError("arrival times must be nondecreasing and >= 0")
-    b, seal_time, timed_out, D = _serve(
-        p, arrivals[None], sample_exponential(p.mu, rng, n)[None], 0)
-    return LeaderBatch(int(b[0]), float(seal_time[0]), D[0] - arrivals,
-                       bool(timed_out[0]))
-
-
-@dataclass(frozen=True)
-class ConsensusTiming:
-    """Voting-phase delays observed at an honest peer."""
-
-    t_prepare: float
-    t_commit: float
+    arrivals = np.cumsum(sample_exponential(p.lam, streams.arrivals, n))
+    b, _, _, D = _serve(p, arrivals[None],
+                        sample_exponential(p.mu, streams.services, n)[None], 0)
+    b = int(b[0])
+    return b, float((D[0] - arrivals)[:b].sum())
 
 
 def _phase_sums(p: SystemParams, gaps: np.ndarray, procs: np.ndarray):
@@ -182,17 +143,18 @@ def _phase_sums(p: SystemParams, gaps: np.ndarray, procs: np.ndarray):
             gaps[:, twof:].sum(axis=1) + procs[:, twof + 1:].sum(axis=1))
 
 
-def run_pbft_round(p: SystemParams, streams: "RandomStreams") -> ConsensusTiming:
+def run_pbft_round(p: SystemParams, streams: RandomStreams) -> tuple[float, float]:
     """Time the prepare and commit phases at an honest peer.
 
     In each phase the peer waits for 2f votes (exponential(lambda) gaps),
     then works through the 2f+1 matching messages at exponential(mu)
-    apiece.  Which f peers are faulty does not change that sum.
+    apiece.  Which f peers are faulty does not change that sum.  Returns
+    (t_prepare, t_commit).
     """
     gaps = sample_exponential(p.lam, streams.arrivals, 4 * p.f)
     procs = sample_exponential(p.mu, streams.services, 2 * (2 * p.f + 1))
     prepare, commit = _phase_sums(p, gaps[None], procs[None])
-    return ConsensusTiming(float(prepare[0]), float(commit[0]))
+    return float(prepare[0]), float(commit[0])
 
 
 def _passes_verification(
@@ -213,6 +175,10 @@ def _passes_verification(
     peers = range(min(p.n_peers, 2 * n))
     return all(verify_update(tx, enterprises[k].test, p.e0).accepted
                for k in {j % n for j in peers if j != own})
+
+
+class _NothingToSeal(ValueError):
+    """Cross-verification rejected every transaction of a cycle."""
 
 
 def run_cycle(
@@ -250,31 +216,33 @@ def run_cycle(
 
     verified = [tx for tx in txs if _passes_verification(tx, enterprises, p)]
     if not verified:
-        raise ValueError("all txs rejected: nothing to seal")
+        raise _NothingToSeal("all txs rejected: nothing to seal")
     verified.sort(key=lambda tx: (tx.created_at, tx.enterprise_id))
 
-    arr = arrival_times(p.lam, len(verified), streams.arrivals)
-    batch = run_leader_batching(p, arr, streams.services)
-    block_txs = verified[:batch.b]
+    b, sojourn_total = run_leader_batching(p, len(verified), streams)
+    block_txs = verified[:b]
     block = Block.seal(block_txs, p.n_block)
-    voting = run_pbft_round(p, streams)
+    t_prepare, t_commit = run_pbft_round(p, streams)
 
     new_weights = aggregate_global(model.weights, block_txs)
     new_model = GlobalModel(new_weights, global_full_gradient(block_txs))
     breakdown = replace(
-        latency.t_total(p, max(tx.n_samples for tx in block_txs), batch.b),
-        t_preprepare=batch.block_sojourn_total, t_prepare=voting.t_prepare,
-        t_commit=voting.t_commit)
+        latency.t_total(p, max(tx.n_samples for tx in block_txs), b),
+        t_preprepare=sojourn_total, t_prepare=t_prepare, t_commit=t_commit)
     return new_model, breakdown, block
 
 
 @dataclass
 class TrainingRun:
-    """Everything a training session produced, cycle by cycle."""
+    """Everything a training session produced, cycle by cycle.
+
+    ``result`` is "converged", "cycle-cap", or "stalled" when a cycle's
+    candidate set came out empty and nothing could be sealed.
+    """
 
     rows: list[tuple]
     blocks: list[Block]
-    converged: bool
+    result: str
 
 
 def run_training(
@@ -285,25 +253,33 @@ def run_training(
     adversaries: Sequence[int] = (),
     cycle_cap: int = 500,
 ) -> TrainingRun:
-    """Drive whole training cycles until the stop rule or the cycle cap.
+    """Drive whole training cycles until the stop rule, the cycle cap or a
+    cycle with nothing to seal.
 
     Each row records the cycle index, the global weight move, held-out
     accuracy, pooled training loss, the sealed block's transaction count
-    and the full latency breakdown.
+    and the full latency breakdown.  A non-finite latency model is
+    rejected before any training.
     """
     if cycle_cap < 1:
         raise ValueError("cycle_cap must be >= 1")
     if not enterprises:
         raise ValueError("need at least one enterprise")
+    # no cycle's model exceeds the one at n_block and the largest n_samples
+    latency.t_total(p, max(len(e.train) for e in enterprises), p.n_block)
     model = GlobalModel.initial(enterprises[0].train.dim)
     train_sets = [e.train for e in enterprises]
     rows: list[tuple] = []
     blocks: list[Block] = []
-    converged = False
+    result = "cycle-cap"
     for cycle in range(1, cycle_cap + 1):
         prev = model.weights
-        model, breakdown, block = run_cycle(p, enterprises, model, streams,
-                                            adversaries)
+        try:
+            model, breakdown, block = run_cycle(p, enterprises, model,
+                                                streams, adversaries)
+        except _NothingToSeal:
+            result = "stalled"
+            break
         delta = float(np.linalg.norm(model.weights - prev))
         rows.append((
             cycle, delta, accuracy(model.weights, holdout),
@@ -312,9 +288,9 @@ def run_training(
         ))
         blocks.append(block)
         if has_converged(model.weights, prev, p.epsilon):
-            converged = True
+            result = "converged"
             break
-    return TrainingRun(rows, blocks, converged)
+    return TrainingRun(rows, blocks, result)
 
 
 def audit_block(

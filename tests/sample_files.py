@@ -1,11 +1,5 @@
-"""Datasets as Sample records, and in the plain-text format fl-run --data reads."""
+"""Datasets in the plain-text format fl-run --data reads."""
 from fedbft.data import Dataset
-from fedbft.domain import Sample
-
-
-def samples(ds: Dataset) -> list[Sample]:
-    """Each row of ``ds`` as a Sample with an int label."""
-    return [Sample(ds.x[i], int(ds.y[i])) for i in range(len(ds))]
 
 
 def write_samples(path: str, ds: Dataset) -> None:

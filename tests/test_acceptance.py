@@ -15,10 +15,10 @@ import pytest
 from fedbft import latency
 from fedbft.cli import main, run_training
 from fedbft.data import Dataset, split_dataset, two_class_gaussian
-from fedbft.domain import Sample, SystemParams
+from fedbft.domain import SystemParams
 from fedbft.fl import (GlobalModel, accuracy, aggregate_global,
-                       average_gradient, logistic_loss, sample_gradient)
-from fedbft.sim import (RandomStreams, arrival_times, audit_block, run_cycle,
+                       average_gradient, mean_loss)
+from fedbft.sim import (RandomStreams, audit_block, run_cycle,
                         run_experiment, run_leader_batching,
                         sample_exponential)
 
@@ -102,9 +102,8 @@ def test_4_queueing_fidelity(announce):
         for lam, mu in ((100.0, 300.0), (200.0, 300.0), (50.0, 300.0)):
             p = SystemParams(lam=lam, mu=mu, n_block=n, tau=float("inf"))
             streams = RandomStreams.for_replication(7, 0)
-            arr = arrival_times(lam, n, streams.arrivals)
-            batch = run_leader_batching(p, arr, streams.services)
-            mean = float(batch.sojourns.mean())
+            b, sojourn_total = run_leader_batching(p, n, streams)
+            mean = sojourn_total / b
             theory = 1.0 / (mu - lam)
             assert abs(mean - theory) / theory <= 0.02, \
                 f"(lam={lam:g}, mu={mu:g}): {mean:.6f} vs {theory:.6f}"
@@ -141,12 +140,13 @@ def test_5_learning_correctness(announce, tmp_path):
         for _ in range(100):
             dim = int(rng.integers(1, 6))
             w = rng.normal(size=dim)
-            s = Sample(rng.normal(size=dim), 1 if rng.random() < 0.5 else -1)
-            grad = sample_gradient(w, s)
+            s = Dataset(rng.normal(size=(1, dim)),
+                        np.array([1 if rng.random() < 0.5 else -1]))
+            grad = average_gradient(w, s)
             for j in range(dim):
                 e = np.zeros(dim)
                 e[j] = 1e-6
-                fd = (logistic_loss(w + e, s) - logistic_loss(w - e, s)) / 2e-6
+                fd = (mean_loss(w + e, s) - mean_loss(w - e, s)) / 2e-6
                 assert abs(fd - grad[j]) <= 1e-5 * max(1.0, abs(grad[j]))
 
         # aggregation: fixed point, single participant, permutation order
@@ -197,7 +197,7 @@ def test_5_learning_correctness(announce, tmp_path):
         # trajectory, and a clean audit of every sealed block
         p, enterprises, holdout, streams = _fl_acceptance_setup()
         run = run_training(p, enterprises, holdout, streams, cycle_cap=400)
-        assert run.converged
+        assert run.result == "converged"
         assert len(run.blocks) == len(rows)
         assert float(rows[-1]["weight_delta"]) == pytest.approx(
             run.rows[-1][1], rel=1e-10)

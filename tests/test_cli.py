@@ -2,6 +2,9 @@
 import contextlib
 import io
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -333,6 +336,19 @@ def test_fl_run_counts_adversary_blocks(argv, summary, tmp_path, capsys,
     assert err == summary + "\n"
 
 
+def test_fl_run_stall_writes_the_completed_cycles(capsys, monkeypatch):
+    # at seed 1003 the saboteur is admitted once, and a later cycle rejects
+    # every update: the run ends stalled, with the CSV of the cycles before
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    code, out, err = run_cli(DEMO + ["--cycle-cap", "200", "--adversaries",
+                                     "2", "--seed", "1003"], capsys)
+    assert code == 1
+    assert err == "result=stalled cycles=21 adversary_blocks=1\n"
+    header, *rows = out.splitlines()
+    assert header.startswith("cycle,weight_delta,")
+    assert [row.split(",")[0] for row in rows] == [str(c) for c in range(1, 22)]
+
+
 def test_fl_run_rejects_bad_adversary_id(capsys):
     code, _, err = run_cli(["fl-run", "--samples", "40", "--adversaries", "9",
                             "--cycle-cap", "1"], capsys)
@@ -424,10 +440,15 @@ def test_huge_config_sizes_are_rejected(tmp_path, capsys):
 def test_overflowing_latency_is_an_error(command, tmp_path, capsys,
                                         monkeypatch):
     # every value is finite, but delta_d x n_samples overflows in t_local;
-    # simulate and sweep find that before drawing anything
+    # simulate and sweep find that before drawing anything, fl-run before
+    # any training
     def no_draws(*args, **kwargs):
         raise AssertionError("drew replications for a non-finite model")
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained under a non-finite model")
     monkeypatch.setattr(sim, "_replication_draws", no_draws)
+    monkeypatch.setattr(sim, "svrg_local_cycle", no_training)
     cfg = tmp_path / "overflow.cfg"
     cfg.write_text("delta_d=1e308\n")
     with warnings.catch_warnings():
@@ -467,6 +488,43 @@ def test_unwritable_out_path_fails_before_any_work(command, tmp_path, capsys,
     assert code == 1
     assert out == ""
     assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
+def run_module(argv, stdout):
+    """``python -m fedbft.cli argv`` with its stdout on ``stdout``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                    env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "fedbft.cli", *argv],
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          env=env, timeout=120)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["model"],
+    # the CSV goes to --out and only the summary line to stdout
+    ["fl-run", "--samples", "40", "--holdout", "50", "--cycle-cap", "1",
+     "--out", "{tmp}/run.csv"],
+])
+def test_full_stdout_is_one_error_line(argv, tmp_path):
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    with open("/dev/full", "w") as full:
+        done = run_module(argv, full)
+    assert (done.returncode, done.stderr) == (
+        1, "error: cannot write stdout: No space left on device\n")
+
+
+def test_closed_pipe_is_one_error_line():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = run_module(["simulate", "--reps", "20"], write_end)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (
+        1, "error: cannot write stdout: Broken pipe\n")
 
 
 def test_out_path_check_leaves_no_file_behind(tmp_path, capsys):
@@ -545,7 +603,7 @@ def test_run_training_row_shape():
     assert len(run.rows[0]) == 5 + len(ALL_FIELDS)
     assert run.rows[0][0] == 1 and run.rows[1][0] == 2
     assert len(run.blocks) == 2
-    assert not run.converged
+    assert run.result == "cycle-cap"
 
 
 def test_run_training_loss_decreases_initially():
@@ -697,6 +755,15 @@ def test_no_argv_ends_in_a_traceback(input_files, argv):
     if code == 0:
         # fl-run reports its summary on stderr when the CSV goes to stdout
         assert lines == [] or (len(lines) == 1 and lines[0].startswith("result="))
+    elif stalled := [line for line in lines + out.getvalue().splitlines()
+                     if line.startswith("result=stalled ")]:
+        # the one nonzero exit that is not an error: a stalled fl-run,
+        # which still writes its CSV and puts the summary on the other channel
+        assert argv[0] == "fl-run" and code == 1 and len(stalled) == 1
+        if lines:  # the CSV is on stdout
+            assert lines == stalled and out.getvalue().startswith("cycle,")
+        else:
+            assert out.getvalue() == stalled[0] + "\n"
     else:
         assert code == 1
         assert len(lines) == 1 and lines[0].startswith("error: ")

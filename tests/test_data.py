@@ -4,7 +4,7 @@ import pytest
 
 from fedbft.data import (Dataset, EnterpriseData, read_samples, split_dataset,
                          two_class_gaussian)
-from sample_files import samples, write_samples
+from sample_files import write_samples
 
 
 def test_dataset_validation():
@@ -20,11 +20,12 @@ def test_dataset_validation():
 
 def test_dataset_samples_roundtrip():
     ds = Dataset(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1, -1]), owner=2)
-    rows = samples(ds)
-    np.testing.assert_array_equal([s.x for s in rows], [[1.0, 2.0], [3.0, 4.0]])
-    assert [s.y for s in rows] == [1, -1]
-    assert all(isinstance(s.y, int) for s in rows)
+    np.testing.assert_array_equal(ds.x, [[1.0, 2.0], [3.0, 4.0]])
+    assert ds.y.tolist() == [1, -1]
+    assert ds.x.dtype == np.float64 and ds.y.dtype == np.int64
     assert ds.owner == 2 and ds.dim == 2 and len(ds) == 2
+    with pytest.raises(ValueError, match="read-only"):
+        ds.x[0, 0] = 5.0
 
 
 def test_gaussian_shape_and_balance():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fedbft.domain import (ALL_FIELDS, Block, COMPONENT_FIELDS,
                            DEFAULT_PARAMS, LatencyBreakdown, LocalUpdateTx,
-                           Sample, SystemParams, parse_params_text, tx_digest,
+                           SystemParams, parse_params_text, tx_digest,
                            tx_payload_bytes)
 
 CONFIG_KEYS = tuple("lambda" if f.name == "lam" else f.name
@@ -105,19 +105,6 @@ def test_config_parse_errors_name_the_line(text, msg):
 def test_config_roundtrip_property(lam, f, n_block, beta):
     p = SystemParams(lam=lam, f=f, n_peers=3 * f + 1, n_block=n_block, beta=beta)
     assert parse_params_text(params_to_text(p)) == p
-
-
-# --- samples ---
-
-def test_sample_rejects_bad_label():
-    with pytest.raises(ValueError, match="y must be -1 or \\+1"):
-        Sample(np.array([1.0]), 0)
-
-
-def test_sample_array_is_read_only():
-    s = Sample(np.array([1.0, 2.0]), 1)
-    with pytest.raises(ValueError):
-        s.x[0] = 5.0
 
 
 # --- transaction digests ---

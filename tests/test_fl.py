@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fedbft.data import Dataset, two_class_gaussian
-from fedbft.domain import LocalUpdateTx, Sample, SystemParams
+from fedbft.domain import LocalUpdateTx, SystemParams
 from fedbft.fl import (GlobalModel, accuracy, aggregate_global,
                        average_gradient, global_full_gradient,
-                       has_converged, logistic_loss, mean_loss,
-                       pooled_mean_loss, sample_gradient, sigmoid,
+                       has_converged, mean_loss, pooled_mean_loss, sigmoid,
                        svrg_local_cycle, verify_update)
-from sample_files import samples
 
 weight_vecs = arrays(np.float64, 3, elements=st.floats(-50.0, 50.0))
 
@@ -27,27 +25,41 @@ def tx_of(w, g=None, n=1, eid=0, at=0.0):
 
 # --- loss and gradient ---
 
+def one_row(x, y):
+    """A one-sample dataset, whose mean loss and gradient are the sample's."""
+    return Dataset(np.array([x], dtype=np.float64), np.array([y]))
+
+
+def sample_loss(w, x, y):
+    """Reference per-sample loss log(1 + exp(y * w.x))."""
+    return float(np.logaddexp(0.0, y * float(np.dot(w, x))))
+
+
+def sample_gradient(w, x, y):
+    """Reference per-sample gradient y * x * sigmoid(y * w.x)."""
+    return y * x * sigmoid(y * float(np.dot(w, x)))
+
+
 def test_loss_pinned():
     # w.x = 2, y = -1: log(1 + exp(-2))
-    s = Sample(np.array([2.0, 0.0]), -1)
-    got = logistic_loss(np.array([1.0, 0.0]), s)
+    got = mean_loss(np.array([1.0, 0.0]), one_row([2.0, 0.0], -1))
     assert got == pytest.approx(math.log(1.0 + math.exp(-2.0)), rel=1e-12)
     assert got == pytest.approx(0.1269280110429725, rel=1e-12)
 
 
 def test_loss_at_zero_margin_is_log2():
-    s = Sample(np.array([1.0, -1.0]), 1)
-    assert logistic_loss(np.array([1.0, 1.0]), s) == pytest.approx(math.log(2.0))
+    got = mean_loss(np.array([1.0, 1.0]), one_row([1.0, -1.0], 1))
+    assert got == pytest.approx(math.log(2.0))
 
 
 def test_loss_survives_huge_margins():
-    s_pos = Sample(np.array([1.0]), 1)
-    s_neg = Sample(np.array([1.0]), -1)
+    s_pos = one_row([1.0], 1)
+    s_neg = one_row([1.0], -1)
     w = np.array([1000.0])
-    assert logistic_loss(w, s_pos) == pytest.approx(1000.0)
-    assert logistic_loss(w, s_neg) == pytest.approx(0.0, abs=1e-12)
-    assert np.isfinite(sample_gradient(w, s_pos)).all()
-    assert np.isfinite(sample_gradient(w, s_neg)).all()
+    assert mean_loss(w, s_pos) == pytest.approx(1000.0)
+    assert mean_loss(w, s_neg) == pytest.approx(0.0, abs=1e-12)
+    assert np.isfinite(average_gradient(w, s_pos)).all()
+    assert np.isfinite(average_gradient(w, s_neg)).all()
 
 
 def test_sigmoid_extremes():
@@ -76,25 +88,25 @@ def test_gradient_matches_finite_differences():
     for _ in range(100):
         dim = int(rng.integers(1, 6))
         w = rng.normal(size=dim)
-        s = Sample(rng.normal(size=dim), 1 if rng.random() < 0.5 else -1)
-        grad = sample_gradient(w, s)
+        s = one_row(rng.normal(size=dim), 1 if rng.random() < 0.5 else -1)
+        grad = average_gradient(w, s)
         for j in range(dim):
             e = np.zeros(dim)
             e[j] = eps
-            fd = (logistic_loss(w + e, s) - logistic_loss(w - e, s)) / (2 * eps)
+            fd = (mean_loss(w + e, s) - mean_loss(w - e, s)) / (2 * eps)
             assert abs(fd - grad[j]) <= 1e-5 * max(1.0, abs(grad[j]))
 
 
 def test_gradient_at_zero_weights_is_half_y_x():
-    s = Sample(np.array([2.0, -4.0]), -1)
-    np.testing.assert_allclose(sample_gradient(np.zeros(2), s), [-1.0, 2.0],
-                               rtol=1e-15)
+    np.testing.assert_allclose(
+        average_gradient(np.zeros(2), one_row([2.0, -4.0], -1)), [-1.0, 2.0],
+        rtol=1e-15)
 
 
 def test_gradient_vanishes_at_large_negative_margin():
-    s = Sample(np.array([1.0]), -1)
-    np.testing.assert_allclose(sample_gradient(np.array([1000.0]), s), [0.0],
-                               atol=1e-300)
+    np.testing.assert_allclose(
+        average_gradient(np.array([1000.0]), one_row([1.0], -1)), [0.0],
+        atol=1e-300)
 
 
 def test_average_gradient_of_mirrored_samples_cancels():
@@ -107,7 +119,7 @@ def test_average_gradient_single_sample():
     w = np.array([0.3, 0.7])
     ds = Dataset(np.array([[1.5, -0.5]]), np.array([-1]))
     np.testing.assert_allclose(average_gradient(w, ds),
-                               sample_gradient(w, Sample(ds.x[0], -1)),
+                               sample_gradient(w, ds.x[0], -1),
                                rtol=1e-15)
 
 
@@ -117,7 +129,8 @@ def test_average_gradient_is_mean_of_sample_gradients():
     for n, dim in [(20, 3), (400, 300)]:
         ds = two_class_gaussian(n, dim, 2.0, rng)
         w = rng.normal(size=dim)
-        per_sample = np.stack([sample_gradient(w, s) for s in samples(ds)])
+        per_sample = np.stack([sample_gradient(w, x, y)
+                               for x, y in zip(ds.x, ds.y)])
         np.testing.assert_allclose(average_gradient(w, ds),
                                    per_sample.mean(axis=0), rtol=1e-12)
 
@@ -126,7 +139,7 @@ def test_mean_loss_matches_sample_loop():
     rng = np.random.default_rng(8)
     ds = two_class_gaussian(15, 2, 1.0, rng)
     w = rng.normal(size=2)
-    looped = np.mean([logistic_loss(w, s) for s in samples(ds)])
+    looped = np.mean([sample_loss(w, x, y) for x, y in zip(ds.x, ds.y)])
     assert mean_loss(w, ds) == pytest.approx(looped, rel=1e-12)
 
 
@@ -369,7 +382,7 @@ def test_accuracy_matches_classify_loop():
     rng = np.random.default_rng(10)
     ds = two_class_gaussian(40, 3, 2.0, rng)
     w = rng.normal(size=3)
-    looped = np.mean([classify(w, s.x) == s.y for s in samples(ds)])
+    looped = np.mean([classify(w, x) == y for x, y in zip(ds.x, ds.y)])
     assert accuracy(w, ds) == pytest.approx(looped)
 
 

@@ -11,7 +11,7 @@ from fedbft.data import two_class_gaussian, split_dataset
 from fedbft.domain import ALL_FIELDS, SystemParams
 from fedbft.fl import GlobalModel
 from fedbft.fl import verify_update
-from fedbft.sim import (RandomStreams, arrival_times, audit_block, run_cycle,
+from fedbft.sim import (RandomStreams, audit_block, run_cycle,
                         run_experiment, run_leader_batching, run_pbft_round,
                         sample_exponential, _replication_draws)
 
@@ -28,14 +28,6 @@ def test_exponential_mean():
     draws = sample_exponential(40.0, rng, 1_000_000)
     assert draws.min() > 0
     assert draws.mean() == pytest.approx(1 / 40.0, rel=0.01)
-
-
-def test_arrival_times_strictly_increase():
-    times = arrival_times(100.0, 500, np.random.default_rng(1))
-    assert times.shape == (500,)
-    assert np.all(np.diff(times) > 0)
-    with pytest.raises(ValueError, match="count must be >= 1"):
-        arrival_times(100.0, 0, np.random.default_rng(1))
 
 
 def test_stream_substreams_are_independent():
@@ -67,89 +59,103 @@ def full_params(**kw):
     return SystemParams(**defaults)
 
 
+def arrivals_from(lam, n, seed):
+    """The first n arrival times of a rate-lam Poisson stream."""
+    return np.cumsum(sample_exponential(lam, np.random.default_rng(seed), n))
+
+
+def serve_one(p, arr, seed):
+    """One stream through the queue kernel, services drawn from ``seed``:
+    b, seal time, timeout flag and departures."""
+    services = sample_exponential(p.mu, np.random.default_rng(seed), arr.size)
+    b, seal_time, timed_out, D = sim._serve(p, arr[None], services[None], 0)
+    return int(b[0]), float(seal_time[0]), bool(timed_out[0]), D[0]
+
+
 def test_batching_seals_on_size():
     p = full_params(tau=1e6)
-    arr = arrival_times(p.lam, 30, np.random.default_rng(3))
-    batch = run_leader_batching(p, arr, np.random.default_rng(4))
-    assert batch.b == 20
-    assert not batch.timed_out
-    assert batch.sojourns.shape == (30,)
-    assert np.all(batch.sojourns > 0)
+    arr = arrivals_from(p.lam, 30, 3)
+    b, _, timed_out, D = serve_one(p, arr, 4)
+    assert b == 20
+    assert not timed_out
+    assert D.shape == (30,)
+    assert np.all(D - arr > 0)
 
 
 def test_batching_seals_on_timeout():
     p = full_params(tau=0.02)  # far less than 20 expected interarrivals
-    arr = arrival_times(p.lam, 30, np.random.default_rng(5))
-    batch = run_leader_batching(p, arr, np.random.default_rng(6))
-    assert batch.timed_out
-    assert 1 <= batch.b < 20
+    arr = arrivals_from(p.lam, 30, 5)
+    b, seal_time, timed_out, _ = serve_one(p, arr, 6)
+    assert timed_out
+    assert 1 <= b < 20
     # sealed at a completion no earlier than the timeout itself
-    assert batch.seal_time >= arr[0] + p.tau - 1e-12
+    assert seal_time >= arr[0] + p.tau - 1e-12
 
 
 def test_batching_timeout_waits_for_first_completion():
     # timeout so small it always beats the first service completion
     p = full_params(tau=1e-9)
-    arr = arrival_times(p.lam, 5, np.random.default_rng(7))
-    batch = run_leader_batching(p, arr, np.random.default_rng(8))
-    assert batch.b == 1
-    assert batch.timed_out
+    b, _, timed_out, _ = serve_one(p, arrivals_from(p.lam, 5, 7), 8)
+    assert b == 1
+    assert timed_out
 
 
 def test_batching_timeout_after_one_completion_seals_at_the_timeout():
-    arr = arrival_times(100.0, 5, np.random.default_rng(7))
-    untimed = run_leader_batching(full_params(tau=math.inf), arr,
-                                  np.random.default_rng(8))
-    departures = arr + untimed.sojourns
+    arr = arrivals_from(100.0, 5, 7)
+    departures = serve_one(full_params(tau=math.inf), arr, 8)[3]
     p = full_params(tau=(departures[0] + departures[1]) / 2 - arr[0])
-    batch = run_leader_batching(p, arr, np.random.default_rng(8))
-    assert batch.b == 1
-    assert batch.timed_out
-    assert batch.seal_time == arr[0] + p.tau
+    b, seal_time, timed_out, _ = serve_one(p, arr, 8)
+    assert b == 1
+    assert timed_out
+    assert seal_time == arr[0] + p.tau
 
 
 def test_batching_short_stream_waits_out_finite_tau():
     # with fewer arrivals than n_block the leader keeps waiting until tau
     p = full_params(n_block=100, tau=1e6)
-    arr = arrival_times(p.lam, 7, np.random.default_rng(9))
-    batch = run_leader_batching(p, arr, np.random.default_rng(10))
-    assert batch.b == 7
-    assert batch.timed_out
-    assert batch.seal_time == pytest.approx(arr[0] + p.tau)
+    arr = arrivals_from(p.lam, 7, 9)
+    b, seal_time, timed_out, _ = serve_one(p, arr, 10)
+    assert b == 7
+    assert timed_out
+    assert seal_time == pytest.approx(arr[0] + p.tau)
 
 
 def test_batching_flushes_exhausted_stream_without_timeout():
     # no timeout at all: the flush seals at the last departure
     p = full_params(n_block=100, tau=float("inf"))
-    arr = arrival_times(p.lam, 7, np.random.default_rng(9))
-    batch = run_leader_batching(p, arr, np.random.default_rng(10))
-    assert batch.b == 7
-    assert not batch.timed_out
-    assert batch.seal_time == pytest.approx((arr + batch.sojourns).max())
+    b, seal_time, timed_out, D = serve_one(p, arrivals_from(p.lam, 7, 9), 10)
+    assert b == 7
+    assert not timed_out
+    assert seal_time == pytest.approx(D.max())
 
 
 def test_batching_matches_fifo_recurrence():
     # departures must satisfy D_i = max(A_i, D_{i-1}) + S_i for the exact
-    # service draws the run consumed
+    # draws consumed, and run_leader_batching reads the gaps from the
+    # arrivals stream and the services from the services stream
     p = full_params(n_block=50, tau=1e6)
-    arr = arrival_times(p.lam, 50, np.random.default_rng(11))
-    batch = run_leader_batching(p, arr, np.random.default_rng(12))
-    services = sample_exponential(p.mu, np.random.default_rng(12), 50)
+    streams = RandomStreams.from_seed(11)
+    b, sojourn_total = run_leader_batching(p, 50, streams)
+    twin = RandomStreams.from_seed(11)
+    arr = np.cumsum(sample_exponential(p.lam, twin.arrivals, 50))
+    services = sample_exponential(p.mu, twin.services, 50)
     d = 0.0
     expected = np.empty(50)
     for i in range(50):
         d = max(arr[i], d) + services[i]
         expected[i] = d
-    np.testing.assert_allclose(arr + batch.sojourns, expected, rtol=1e-12)
+    D = sim._serve(p, arr[None], services[None], 0)[3][0]
+    np.testing.assert_allclose(D, expected, rtol=1e-12)
+    assert b == 50
+    assert sojourn_total == pytest.approx((expected - arr).sum(), rel=1e-12)
+    for name in ("arrivals", "services"):
+        assert (getattr(streams, name).bit_generator.state
+                == getattr(twin, name).bit_generator.state)
 
 
 def test_batching_input_validation():
-    p = full_params()
-    rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="no arrivals"):
-        run_leader_batching(p, np.empty(0), rng)
-    with pytest.raises(ValueError, match="nondecreasing"):
-        run_leader_batching(p, np.array([2.0, 1.0]), rng)
+        run_leader_batching(full_params(), 0, RandomStreams.from_seed(0))
 
 
 # --- voting rounds ---
@@ -157,36 +163,36 @@ def test_batching_input_validation():
 def test_pbft_phase_times_match_consumed_draws():
     p = SystemParams()
     streams = RandomStreams.from_seed(21)
-    timing = run_pbft_round(p, streams)
+    t_prepare, t_commit = run_pbft_round(p, streams)
     twin = RandomStreams.from_seed(21)
     # canonical order: prepare gaps, commit gaps, prepare and commit processing
     gaps_prep = sample_exponential(p.lam, twin.arrivals, 2 * p.f)
     gaps_com = sample_exponential(p.lam, twin.arrivals, 2 * p.f)
     proc_prep = sample_exponential(p.mu, twin.services, 2 * p.f + 1)
     proc_com = sample_exponential(p.mu, twin.services, 2 * p.f + 1)
-    assert timing.t_prepare == pytest.approx(gaps_prep.sum() + proc_prep.sum(),
-                                             rel=1e-12)
-    assert timing.t_commit == pytest.approx(gaps_com.sum() + proc_com.sum(),
-                                            rel=1e-12)
+    assert t_prepare == pytest.approx(gaps_prep.sum() + proc_prep.sum(),
+                                      rel=1e-12)
+    assert t_commit == pytest.approx(gaps_com.sum() + proc_com.sum(),
+                                     rel=1e-12)
 
 
 def test_pbft_single_peer_degenerate_case():
     p = SystemParams(f=0, n_peers=1)
     streams = RandomStreams.from_seed(3)
-    timing = run_pbft_round(p, streams)
+    t_prepare, t_commit = run_pbft_round(p, streams)
     # no votes to wait for; each phase is one processing draw
     twin = RandomStreams.from_seed(3)
     proc_prep = sample_exponential(p.mu, twin.services, 1)
     proc_com = sample_exponential(p.mu, twin.services, 1)
-    assert timing.t_prepare == pytest.approx(proc_prep.sum(), rel=1e-12)
-    assert timing.t_commit == pytest.approx(proc_com.sum(), rel=1e-12)
+    assert t_prepare == pytest.approx(proc_prep.sum(), rel=1e-12)
+    assert t_commit == pytest.approx(proc_com.sum(), rel=1e-12)
 
 
 def test_pbft_phase_mean_tracks_formula():
     p = SystemParams()
     expected = 2 * p.f / p.lam + (2 * p.f + 1) / p.mu
     vals = np.array([
-        run_pbft_round(p, RandomStreams.from_seed((4, i))).t_prepare
+        run_pbft_round(p, RandomStreams.from_seed((4, i)))[0]
         for i in range(3000)
     ])
     assert vals.mean() == pytest.approx(expected, rel=0.03)
@@ -328,9 +334,9 @@ def test_stationary_sojourn_matches_theory():
     # one long pinned run: mean sojourn near 1/(mu - lambda)
     p = SystemParams(n_block=20_000, tau=float("inf"))
     streams = RandomStreams.from_seed(7)
-    arr = arrival_times(p.lam, 20_000, streams.arrivals)
-    batch = run_leader_batching(p, arr, streams.services)
-    assert batch.sojourns.mean() == pytest.approx(1 / (p.mu - p.lam), rel=0.05)
+    b, sojourn_total = run_leader_batching(p, 20_000, streams)
+    assert b == 20_000
+    assert sojourn_total / b == pytest.approx(1 / (p.mu - p.lam), rel=0.05)
 
 
 # --- whole cycles ---
@@ -385,15 +391,15 @@ def test_pbft_preprepare_is_block_sojourn_total(monkeypatch):
     p = SystemParams(t_max=50, tau=0.02)
     ents, streams = make_enterprises(6)
     _, breakdown, block = run_cycle(p, ents, GlobalModel.initial(2), streams)
-    batch, voting = seen["run_leader_batching"], seen["run_pbft_round"]
-    assert len(block.txs) == batch.b
-    assert breakdown.t_preprepare == batch.block_sojourn_total
-    assert breakdown.t_prepare == voting.t_prepare
-    assert breakdown.t_commit == voting.t_commit
-    model = latency.t_total(p, max(len(e.train) for e in ents), batch.b)
-    assert breakdown == replace(model, t_preprepare=batch.block_sojourn_total,
-                                t_prepare=voting.t_prepare,
-                                t_commit=voting.t_commit)
+    b, sojourn_total = seen["run_leader_batching"]
+    t_prepare, t_commit = seen["run_pbft_round"]
+    assert len(block.txs) == b
+    assert breakdown.t_preprepare == sojourn_total
+    assert breakdown.t_prepare == t_prepare
+    assert breakdown.t_commit == t_commit
+    model = latency.t_total(p, max(len(e.train) for e in ents), b)
+    assert breakdown == replace(model, t_preprepare=sojourn_total,
+                                t_prepare=t_prepare, t_commit=t_commit)
 
 
 def test_verification_checks_each_test_set_once(monkeypatch):

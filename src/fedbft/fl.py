@@ -8,6 +8,7 @@ mixes enterprise updates weighted by their sample counts.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -64,10 +65,7 @@ class GlobalModel:
 
 
 def sigmoid(z):
-    """Numerically safe logistic function; a float gets the array path's exact bits."""
-    if isinstance(z, float):
-        t = float(np.exp(-abs(z)))  # math.exp can differ in the last bit
-        return 1.0 / (1.0 + t) if z >= 0 else t / (1.0 + t)
+    """Numerically safe logistic function; a 0-d input gives a float."""
     z = np.asarray(z, dtype=np.float64)
     t = np.exp(-np.abs(z))
     out = np.where(z >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
@@ -136,21 +134,27 @@ def svrg_local_cycle(
     else:
         anchor_grad = average_gradient(anchor_w, ds)
 
-    signed_x = ds.x * ds.y[:, None]                      # rows are y_k * x_k
     anchor_s = sigmoid(_margins(anchor_w, ds)).tolist()
     step = p.beta / n_i
 
     # Lazy form: the step t iterate is w_t = u_t - t*c with c = step *
     # anchor_grad, so the constant anchor term is applied once at the end
-    # and each step is one dot and one axpy, with row.w_t = row.u_t - t*r_k.
-    # The indices are one block with the rng state of t_max scalar draws.
+    # and each step is one dot and one axpy, with y_k x_k.w_t = y_k x_k.u_t
+    # - t*r_k.  The label multiplies scalars, never a copy of the rows:
+    # negating by y_k = +-1 commutes with every rounding.  The logistic is
+    # sigmoid's formula with math.exp, whose last bit can differ from
+    # np.exp's (README "Determinism").  The indices are one block with the
+    # rng state of t_max scalar draws.
     c = step * anchor_grad
-    r = (signed_x @ c).tolist()
+    r = _margins(c, ds).tolist()
+    x, y = ds.x, ds.y.tolist()
     u = anchor_w.copy()
     for t, k in enumerate(rng.integers(n_i, size=p.t_max).tolist()):
-        row = signed_x[k]
-        s = sigmoid(float(row @ u) - t * r[k])
-        u -= (step * (s - anchor_s[k])) * row
+        row = x[k]
+        z = y[k] * float(row.dot(u)) - t * r[k]
+        e = math.exp(-abs(z))
+        s = 1.0 / (1.0 + e) if z >= 0 else e / (1.0 + e)
+        u -= (y[k] * (step * (s - anchor_s[k]))) * row
     w = u - p.t_max * c
     if not np.isfinite(w).all():
         raise ValueError("local update diverged; reduce beta")

@@ -81,7 +81,7 @@ def sample_exponential(rate: float, rng: np.random.Generator, size=None,
 
 
 def _serve(p: SystemParams, arrivals: np.ndarray, services: np.ndarray,
-           first_tx: int):
+           first_tx: int, C=None, D=None):
     """FIFO departures and the seal rule: the simulator's one queue kernel.
 
     Each row of the (rows, n) ``arrivals`` and ``services`` is one stream.
@@ -92,10 +92,14 @@ def _serve(p: SystemParams, arrivals: np.ndarray, services: np.ndarray,
     that timeout with the transactions served by then, or at the first
     departure if none was; with no timeout, a stream too short to fill it
     seals at its last departure.  Returns per-row b, seal time and timeout
-    flag, and the (rows, n) departures.
+    flag, and the (rows, n) departures.  ``C`` and ``D``, (rows, n) float64
+    buffers, receive the cumulative service and the departures if given.
     """
-    C = np.cumsum(services, axis=1)
-    D = C + np.maximum.accumulate(arrivals - C + services, axis=1)
+    C = np.cumsum(services, axis=1, out=C)
+    D = np.subtract(arrivals, C, out=D)
+    D += services
+    np.maximum.accumulate(D, axis=1, out=D)
+    D += C
     cycle = D[:, first_tx:]
     timeout_at = arrivals[:, first_tx] + p.tau
     finite = np.isfinite(timeout_at)
@@ -341,6 +345,9 @@ def _replication_draws(p: SystemParams, replications: int, master_seed,
     gap_buf = np.empty((most, n + 4 * p.f))
     service_buf = np.empty((most, n + 2 * (2 * p.f + 1) + 1))
     arrival_buf = np.empty((most, n))
+    cum_buf = np.empty((most, n))
+    departure_buf = np.empty((most, n))
+    sum_buf = np.empty((most, p.n_block))
     for first in range(0, replications, _CHUNK_REPS):
         streams = RandomStreams.for_replication(master_seed,
                                                 first // _CHUNK_REPS)
@@ -354,9 +361,12 @@ def _replication_draws(p: SystemParams, replications: int, master_seed,
                                           out=service_buf[:rows])
             services[:, 0] += _initial_wait(p, services[:, -1])
             arrivals = np.cumsum(gaps[:, :n], axis=1, out=arrival_buf[:rows])
-            b, _, _, D = _serve(p, arrivals, services[:, :n], warmup)
+            b, _, _, D = _serve(p, arrivals, services[:, :n], warmup,
+                                cum_buf[:rows], departure_buf[:rows])
             # each block's sojourns, summed in arrival order
-            sums = np.cumsum(D[:, warmup:] - arrivals[:, warmup:], axis=1)
+            sums = np.subtract(D[:, warmup:], arrivals[:, warmup:],
+                               out=sum_buf[:rows])
+            np.cumsum(sums, axis=1, out=sums)
             out[:, 0] = b
             out[:, 1] = sums[np.arange(rows), b - 1]
             out[:, 2], out[:, 3] = _phase_sums(p, gaps[:, n:],

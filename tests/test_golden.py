@@ -2,11 +2,14 @@
 
 The fl-run CSVs under tests/data/ and the digest chain below pin the
 rounding of the lazy SVRG step (the anchor term applied once after the
-step loop) and of the one-gemv dataset gradient, on numpy's BLAS kernels:
-the fl-run rounding contract README "Determinism" sets out.  The simulate
-and sweep CSVs were written when the simulator moved to a stationary start
-and per-chunk seeding, the stream contract README "Determinism" also sets
-out.  A faster or smaller implementation must leave every byte unchanged.
+step loop, the label folded into its scalars, its logistic through
+math.exp) and of the one-gemv dataset gradient, on numpy's BLAS kernels:
+the fl-run rounding contract README "Determinism" sets out.  The math.exp
+logistic of version 0.4.0 moved the digest chain only; the CSVs kept
+every byte.  The simulate and sweep CSVs were written when the simulator
+moved to a stationary start and per-chunk seeding, the stream contract
+README "Determinism" also sets out.  A faster or smaller implementation
+must leave every byte unchanged.
 """
 import hashlib
 from pathlib import Path
@@ -79,4 +82,4 @@ def test_block_tx_digests_match_golden():
                        streams, adversaries=[2], cycle_cap=30)
     chain = "".join(tx.digest for block in run.blocks for tx in block.txs)
     assert hashlib.sha256(chain.encode()).hexdigest() == (
-        "781e7f52bd18d32229cba11eae246974352cea095657bb9b71bf321890098626")
+        "10638b8ab70e640c9c52859f30af257aa1d8657fb713e02850501d2b97341570")

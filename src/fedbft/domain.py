@@ -41,9 +41,11 @@ _ATTR_TO_KEY = {v: k for k, v in _KEY_TO_ATTR.items()}
 # epsilon=inf stops training after one cycle.  Every other field must be finite.
 _INF_ALLOWED = frozenset({"tau", "epsilon"})
 
-# Bounds that keep the draws of one simulated stream within memory.
+# Bounds that keep the draws of one simulated stream within memory, and
+# one local training pass within seconds.
 MAX_N_BLOCK = 1_000_000
 MAX_F = 100_000
+MAX_T_MAX = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -115,6 +117,8 @@ class SystemParams:
             raise ValueError("e0 must be within [0, 1]")
         if self.t_max < 1:
             raise ValueError("t_max must be >= 1")
+        if self.t_max > MAX_T_MAX:
+            raise ValueError(f"t_max must be <= {MAX_T_MAX}")
 
 
 DEFAULT_PARAMS = SystemParams()

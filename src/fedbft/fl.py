@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,6 +32,9 @@ __all__ = [
     "verify_update",
     "has_converged",
 ]
+
+_CHUNK = 256  # step indices drawn, and rows gathered, at a time
+_BLOCK = 16   # steps that share one block-start gemv and one Gram matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,28 +137,43 @@ def svrg_local_cycle(
         anchor_grad = np.asarray(model.full_gradient, dtype=np.float64)
     else:
         anchor_grad = average_gradient(anchor_w, ds)
-
-    anchor_s = sigmoid(_margins(anchor_w, ds)).tolist()
     step = p.beta / n_i
 
     # Lazy form: the step t iterate is w_t = u_t - t*c with c = step *
-    # anchor_grad, so the constant anchor term is applied once at the end
-    # and each step is one dot and one axpy, with y_k x_k.w_t = y_k x_k.u_t
-    # - t*r_k.  The label multiplies scalars, never a copy of the rows:
-    # negating by y_k = +-1 commutes with every rounding.  The logistic is
-    # sigmoid's formula with math.exp, whose last bit can differ from
-    # np.exp's (README "Determinism").  The indices are one block with the
-    # rng state of t_max scalar draws.
+    # anchor_grad, so the constant anchor term is applied once at the end,
+    # and y_k x_k.w_t = y_k x_k.u_t - t*r_k.  The label multiplies scalars,
+    # never a copy of the rows: negating by y_k = +-1 commutes with every
+    # rounding.  The logistic is sigmoid's formula with math.exp, whose
+    # last bit can differ from np.exp's (README "Determinism").
+    #
+    # Blocked pass: the indices are drawn _CHUNK at a time, which leaves
+    # the rng in the state of t_max scalar draws, and only those rows are
+    # gathered, with their anchor terms.  Within a block of _BLOCK rows,
+    # u moves by -sum_i a_i x_i, so row j's dot is its block-start dot
+    # d_j less sum_{i<j} a_i x_j.x_i from the block's Gram matrix, and u
+    # is updated once per block.
     c = step * anchor_grad
-    r = _margins(c, ds).tolist()
-    x, y = ds.x, ds.y.tolist()
     u = anchor_w.copy()
-    for t, k in enumerate(rng.integers(n_i, size=p.t_max).tolist()):
-        row = x[k]
-        z = y[k] * float(row.dot(u)) - t * r[k]
-        e = math.exp(-abs(z))
-        s = 1.0 / (1.0 + e) if z >= 0 else e / (1.0 + e)
-        u -= (y[k] * (step * (s - anchor_s[k]))) * row
+    rows = np.empty((min(_CHUNK, p.t_max), ds.dim))
+    for t0 in range(0, p.t_max, _CHUNK):
+        ks = rng.integers(n_i, size=min(_CHUNK, p.t_max - t0))
+        # every chunk gathers into one buffer; the indices are in range, so
+        # "clip" only skips the checked mode's copy through a temporary
+        xc = np.take(ds.x, ks, axis=0, out=rows[:len(ks)], mode="clip")
+        yc = ds.y[ks]
+        y = yc.tolist()
+        sa = sigmoid(yc * xc.dot(anchor_w)).tolist()
+        r = (yc * xc.dot(c)).tolist()
+        for b0 in range(0, len(y), _BLOCK):
+            xb = xc[b0:b0 + _BLOCK]
+            a = []
+            for j, (d, g) in enumerate(zip(xb.dot(u).tolist(),
+                                           xb.dot(xb.T).tolist()), b0):
+                z = y[j] * (d - sum(map(mul, a, g))) - (t0 + j) * r[j]
+                e = math.exp(-abs(z))
+                s = 1.0 / (1.0 + e) if z >= 0 else e / (1.0 + e)
+                a.append(y[j] * (step * (s - sa[j])))
+            u -= np.dot(a, xb)
     w = u - p.t_max * c
     if not np.isfinite(w).all():
         raise ValueError("local update diverged; reduce beta")

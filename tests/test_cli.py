@@ -430,6 +430,17 @@ def test_huge_config_sizes_are_rejected(tmp_path, capsys):
     assert err == f"error: {cfg}: n_block must be <= 1000000\n"
 
 
+def test_huge_t_max_is_rejected_before_training(tmp_path, capsys):
+    # 10^12 steps once asked numpy for a 7 TiB index array; a chunked
+    # draw would instead run for hours
+    cfg = tmp_path / "huge_t_max.cfg"
+    cfg.write_text("t_max=1000000000000\n")
+    code, out, err = run_cli(["fl-run", "--samples", "20", "--holdout", "20",
+                              "--config", str(cfg)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: {cfg}: t_max must be <= 1000000\n"
+
+
 @pytest.mark.parametrize("command", [
     ["model"],
     ["simulate", "--reps", "2"],

@@ -56,6 +56,7 @@ def test_defaults_are_valid():
     (dict(epsilon=math.nan), "epsilon must be positive"),
     (dict(n_block=10**12), "n_block must be <= 1000000"),
     (dict(f=10**12, n_peers=3 * 10**12 + 1), "f must be <= 100000"),
+    (dict(t_max=10**6 + 1), "t_max must be <= 1000000"),
 ])
 def test_invalid_params_rejected(kwargs, msg):
     with pytest.raises(ValueError, match=msg.replace("[", r"\[").replace("+", r"\+")):

@@ -218,6 +218,35 @@ def test_local_cycle_matches_reference_loop(dim, anchored):
     assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+def assert_matches_reference(model, ds, p):
+    fast_rng = np.random.default_rng(5)
+    ref_rng = np.random.default_rng(5)
+    w = svrg_local_cycle(model, ds, p, fast_rng).weights
+    ref = reference_local_weights(model, ds, p, ref_rng)
+    assert np.linalg.norm(w - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("t_max", [1, 15, 16, 17, 255, 256, 257, 600])
+@pytest.mark.parametrize("dim", [2, 300])
+def test_local_cycle_matches_reference_at_block_and_chunk_edges(dim, t_max):
+    # the pass runs blocks of 16 steps inside chunks of 256 draws; a first,
+    # partial, full or spilling block or chunk must all step as the loop
+    rng = np.random.default_rng(100 + dim)
+    ds = two_class_gaussian(80, dim, 3.0, rng)
+    model = GlobalModel(rng.normal(size=dim), rng.normal(size=dim) * 0.1)
+    assert_matches_reference(model, ds, SystemParams(beta=2.0, t_max=t_max))
+
+
+def test_local_cycle_matches_reference_when_rows_repeat_in_a_block():
+    # two rows and 64 steps: every block draws each row many times, so the
+    # Gram corrections use its diagonal and repeated off-diagonal entries
+    rng = np.random.default_rng(31)
+    ds = Dataset(rng.normal(size=(2, 3)), np.array([1, -1]))
+    model = GlobalModel(rng.normal(size=3), rng.normal(size=3) * 0.1)
+    assert_matches_reference(model, ds, SystemParams(beta=0.5, t_max=64))
+
+
 def test_local_cycle_fixed_point_at_zero_anchor_gradient():
     # with a zero anchor gradient the correction terms cancel exactly and
     # the weights never move off the anchor
@@ -298,6 +327,24 @@ def test_local_cycle_allocates_less_than_one_copy_of_the_rows():
     ds = two_class_gaussian(400, 300, 3.0, rng)
     model = GlobalModel(rng.normal(size=300) * 0.01, rng.normal(size=300) * 0.01)
     p = SystemParams(beta=2.0, t_max=200)
+    svrg_local_cycle(model, ds, p, np.random.default_rng(0))  # warm caches
+    tracemalloc.start()
+    try:
+        svrg_local_cycle(model, ds, p, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < ds.x.nbytes
+
+
+def test_local_cycle_memory_does_not_grow_with_t_max():
+    # 5 000 steps at the fl-adversary shape: the indices and gathered rows
+    # are held one chunk at a time, so the peak stays below one (N, dim)
+    # matrix, as it does at 200 steps
+    rng = np.random.default_rng(13)
+    ds = two_class_gaussian(400, 300, 3.0, rng)
+    model = GlobalModel(rng.normal(size=300) * 0.01, rng.normal(size=300) * 0.01)
+    p = SystemParams(beta=2.0, t_max=5000)
     svrg_local_cycle(model, ds, p, np.random.default_rng(0))  # warm caches
     tracemalloc.start()
     try:

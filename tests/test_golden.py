@@ -1,15 +1,18 @@
 """Frozen CLI outputs: training and simulation must reproduce them bit for bit.
 
 The fl-run CSVs under tests/data/ and the digest chain below pin the
-rounding of the lazy SVRG step (the anchor term applied once after the
-step loop, the label folded into its scalars, its logistic through
-math.exp) and of the one-gemv dataset gradient, on numpy's BLAS kernels:
-the fl-run rounding contract README "Determinism" sets out.  The math.exp
-logistic of version 0.4.0 moved the digest chain only; the CSVs kept
-every byte.  The simulate and sweep CSVs were written when the simulator
-moved to a stationary start and per-chunk seeding, the stream contract
-README "Determinism" also sets out.  A faster or smaller implementation
-must leave every byte unchanged.
+rounding of the blocked lazy SVRG pass (the anchor term applied once after
+the step loop, the label folded into its scalars, its logistic through
+math.exp, the anchor terms taken from the gathered rows, and each row's
+dot taken from its block-start gemv less the block's Gram corrections)
+and of the one-gemv dataset gradient, on numpy's BLAS kernels: the fl-run
+rounding contract README "Determinism" sets out.  The blocked pass of
+version 0.5.0 moved the acceptance-5 CSV, in the 12th digit of some
+cells, and the digest chain; the fl-adversary CSV kept every byte.  The
+simulate and sweep CSVs were written when the simulator moved to a
+stationary start and per-chunk seeding, the stream contract README
+"Determinism" also sets out.  A faster or smaller implementation must
+leave every byte unchanged.
 """
 import hashlib
 from pathlib import Path
@@ -82,4 +85,4 @@ def test_block_tx_digests_match_golden():
                        streams, adversaries=[2], cycle_cap=30)
     chain = "".join(tx.digest for block in run.blocks for tx in block.txs)
     assert hashlib.sha256(chain.encode()).hexdigest() == (
-        "10638b8ab70e640c9c52859f30af257aa1d8657fb713e02850501d2b97341570")
+        "697a9d29219d9d1b15eb92a180855deb99c2a28bbd0fb95f5b8764c11064c3d9")

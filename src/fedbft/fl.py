@@ -30,7 +30,6 @@ __all__ = [
     "aggregate_global",
     "accuracy",
     "verify_update",
-    "has_converged",
 ]
 
 _CHUNK = 256  # step indices drawn, and rows gathered, at a time
@@ -218,14 +217,3 @@ def verify_update(tx: LocalUpdateTx, test: Dataset, e0: float) -> VerifyResult:
         raise ValueError("e0 must be within [0, 1]")
     acc = accuracy(tx.weights, test)
     return VerifyResult(tx.digest_ok() and acc >= e0, acc)
-
-
-def has_converged(w: np.ndarray, w_prev: np.ndarray, epsilon: float) -> bool:
-    """Stop when the Euclidean move ||w - w_prev|| is at most epsilon."""
-    w = np.asarray(w)
-    w_prev = np.asarray(w_prev)
-    if w.shape != w_prev.shape:
-        raise ValueError("weight dimensions differ")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    return float(np.linalg.norm(w - w_prev)) <= epsilon

@@ -32,8 +32,7 @@ from .data import Dataset, EnterpriseData
 from .domain import (ALL_FIELDS, COMPONENT_FIELDS, Block, ExperimentStats,
                      LatencyBreakdown, LocalUpdateTx, SystemParams)
 from .fl import (GlobalModel, accuracy, aggregate_global, global_full_gradient,
-                 has_converged, pooled_mean_loss, svrg_local_cycle,
-                 verify_update)
+                 pooled_mean_loss, svrg_local_cycle, verify_update)
 from . import latency
 
 __all__ = [
@@ -291,7 +290,7 @@ def run_training(
             *(getattr(breakdown, name) for name in ALL_FIELDS),
         ))
         blocks.append(block)
-        if has_converged(model.weights, prev, p.epsilon):
+        if delta <= p.epsilon:
             result = "converged"
             break
     return TrainingRun(rows, blocks, result)
@@ -308,9 +307,10 @@ def audit_block(
 
 
 # replications per seeded chunk, a constant of the stream contract, and
-# queue-matrix elements per ``_serve`` call, which the output ignores
+# drawn elements per ``_serve`` call, which the output ignores: enough for
+# a whole chunk at the default shape, so it takes one call
 _CHUNK_REPS = 256
-_CHUNK_ELEMENTS = 1 << 13
+_CHUNK_ELEMENTS = 1 << 15
 MAX_REPS = 1_000_000
 MAX_WARMUP = 1_000_000
 MAX_DRAWS = 1 << 30
@@ -327,6 +327,11 @@ def _initial_wait(p: SystemParams, e: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, (math.log(p.lam / p.mu) + p.mu * e) / (p.mu - p.lam))
 
 
+def _leading(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The first rows * cols elements of flat ``buf`` as a (rows, cols) view."""
+    return buf[:rows * cols].reshape(rows, cols)
+
+
 def _replication_draws(p: SystemParams, replications: int, master_seed,
                        warmup: int) -> np.ndarray:
     """(replications, 4) rows of (b, preprepare, prepare, commit).
@@ -335,19 +340,23 @@ def _replication_draws(p: SystemParams, replications: int, master_seed,
     ``RandomStreams.for_replication(master_seed, c)``: warmup + n_block
     gaps then 4f vote gaps, and warmup + n_block services, 2(2f+1)
     processing draws and an initial wait that joins the first service.
-    The block starts at index ``warmup``.
+    The block starts at index ``warmup``.  Every draw is made, but
+    ``_serve`` gets only the leading columns that some row's timeout can
+    reach: an arrival after every row's timeout is never served by it.
     """
     n = warmup + p.n_block
     step = max(1, _CHUNK_ELEMENTS // _row_width(p, warmup))
     draws = np.empty((replications, 4))
-    # one set of buffers for the run; a short last call uses leading rows
+    # one set of buffers for the run; a short last call uses leading rows,
+    # and the queue's are flat so that a call's leading columns are
+    # contiguous too
     most = min(step, _CHUNK_REPS, replications)
     gap_buf = np.empty((most, n + 4 * p.f))
     service_buf = np.empty((most, n + 2 * (2 * p.f + 1) + 1))
     arrival_buf = np.empty((most, n))
-    cum_buf = np.empty((most, n))
-    departure_buf = np.empty((most, n))
-    sum_buf = np.empty((most, p.n_block))
+    cum_buf = np.empty(most * n)
+    departure_buf = np.empty(most * n)
+    sum_buf = np.empty(most * p.n_block)
     for first in range(0, replications, _CHUNK_REPS):
         streams = RandomStreams.for_replication(master_seed,
                                                 first // _CHUNK_REPS)
@@ -361,11 +370,19 @@ def _replication_draws(p: SystemParams, replications: int, master_seed,
                                           out=service_buf[:rows])
             services[:, 0] += _initial_wait(p, services[:, -1])
             arrivals = np.cumsum(gaps[:, :n], axis=1, out=arrival_buf[:rows])
-            b, _, _, D = _serve(p, arrivals, services[:, :n], warmup,
-                                cum_buf[:rows], departure_buf[:rows])
+            # arrivals rise along a row, so their column minimum does too;
+            # a departure never precedes its arrival, so no row serves a
+            # column past ``reach`` by its timeout, nor fills its block
+            reach = int(np.searchsorted(arrivals.min(axis=0),
+                                        (arrivals[:, warmup] + p.tau).max(),
+                                        "right"))
+            arrivals = arrivals[:, :reach]
+            b, _, _, D = _serve(p, arrivals, services[:, :reach], warmup,
+                                _leading(cum_buf, rows, reach),
+                                _leading(departure_buf, rows, reach))
             # each block's sojourns, summed in arrival order
             sums = np.subtract(D[:, warmup:], arrivals[:, warmup:],
-                               out=sum_buf[:rows])
+                               out=_leading(sum_buf, rows, reach - warmup))
             np.cumsum(sums, axis=1, out=sums)
             out[:, 0] = b
             out[:, 1] = sums[np.arange(rows), b - 1]

@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fedbft.data import Dataset, two_class_gaussian
+from fedbft.data import Dataset, split_dataset, two_class_gaussian
 from fedbft.domain import LocalUpdateTx, SystemParams
 from fedbft.fl import (GlobalModel, accuracy, aggregate_global,
-                       average_gradient, global_full_gradient,
-                       has_converged, mean_loss, pooled_mean_loss, sigmoid,
-                       svrg_local_cycle, verify_update)
+                       average_gradient, global_full_gradient, mean_loss,
+                       pooled_mean_loss, sigmoid, svrg_local_cycle,
+                       verify_update)
+from fedbft.sim import RandomStreams, run_training
 
 weight_vecs = arrays(np.float64, 3, elements=st.floats(-50.0, 50.0))
 
@@ -519,16 +520,22 @@ def test_verify_rejects_tampered_digest():
 
 # --- the stop rule ---
 
-def test_convergence_boundary_inclusive():
-    w_prev = np.zeros(2)
-    w = np.array([3e-4, 4e-4])  # norm exactly 5e-4
-    assert has_converged(w, w_prev, 5e-4)
-    assert not has_converged(w, w_prev, 4.999e-4)
+def test_training_stops_once_the_move_is_at_most_epsilon():
+    # inclusive: an epsilon equal to cycle 1's weight move stops training
+    # after cycle 1, and the next float below it does not
+    def train(epsilon):
+        streams = RandomStreams.from_seed(3)
+        ents = [split_dataset(two_class_gaussian(40, 2, 4.0, streams.data,
+                                                 owner=i)) for i in range(3)]
+        holdout = two_class_gaussian(60, 2, 4.0, streams.data)
+        return run_training(SystemParams(t_max=30, epsilon=epsilon), ents,
+                            holdout, streams, cycle_cap=2)
 
-
-def test_convergence_rejects_bad_epsilon():
-    with pytest.raises(ValueError, match="epsilon must be positive"):
-        has_converged(np.zeros(1), np.zeros(1), 0.0)
+    delta = train(math.inf).rows[0][1]
+    run = train(delta)
+    assert (len(run.rows), run.result) == (1, "converged")
+    run = train(float(np.nextafter(delta, 0)))
+    assert len(run.rows) == 2 and run.rows[0][1] == delta
 
 
 # --- the model record ---

@@ -233,10 +233,12 @@ def reference_draws(p, replications, key, warmup):
 
 
 @pytest.mark.parametrize("warmup", [0, 3, 50, 1000])
-@pytest.mark.parametrize("tau", [10.0, 0.2, 0.005, math.inf])
+@pytest.mark.parametrize("tau", [10.0, 1.0, 0.2, 0.005, 1e-9, math.inf])
 def test_fast_replication_equals_event_driven(warmup, tau):
     # the batched replication path draws, bit for bit, what one replication
-    # at a time draws from its chunk's streams, across a chunk boundary
+    # at a time draws from its chunk's streams, across a chunk boundary; at
+    # 1e-9 every block seals at its first departure, and at 1.0, about
+    # n_block / lambda, full and timed-out rows share one kernel call
     reps = sim._CHUNK_REPS + 2
     for f, key in ((0, 3), (1, (42, 7)), (3, 11), (5, (0, 2))):
         p = SystemParams(tau=tau, f=f, n_peers=3 * f + 1)
@@ -255,6 +257,30 @@ def test_experiment_does_not_depend_on_block_or_chunk_size(monkeypatch, reps,
     monkeypatch.setattr(sim, "_CHUNK_ELEMENTS",
                         rows * sim._row_width(p, 3))
     assert run_experiment(p, reps, 5, warmup=3) == expected
+
+
+@pytest.mark.parametrize("tau", [0.2, math.inf])
+def test_queue_kernel_gets_only_the_columns_a_timeout_can_reach(monkeypatch,
+                                                                tau):
+    # one call per chunk of 256 at the default shape; at tau 0.2 no row's
+    # timeout reaches the last of the n_block arrivals, so the kernel gets
+    # fewer columns, and with no timeout it gets all of them
+    p = SystemParams(tau=tau)
+    serve = sim._serve
+    widths = []
+
+    def spy(p, arrivals, services, first_tx, C=None, D=None):
+        widths.append(arrivals.shape[1])
+        assert services.shape == C.shape == D.shape == arrivals.shape
+        return serve(p, arrivals, services, first_tx, C, D)
+
+    monkeypatch.setattr(sim, "_serve", spy)
+    _replication_draws(p, 10_000, 42, 0)
+    assert len(widths) == 40
+    if math.isinf(tau):
+        assert widths == [p.n_block] * 40
+    else:
+        assert max(widths) < p.n_block
 
 
 def test_a_longer_run_extends_a_shorter_one():

@@ -3,8 +3,9 @@
 All commands write CSV with a header row, '.' decimals, 12 significant
 digits and '\n' line endings, so identical inputs and seeds give
 byte-identical files.  Errors exit nonzero after a single
-"error: <reason>" line on stderr; a stalled fl-run exits 1 after its CSV
-and its "result=stalled" line.
+"error: <reason>" line on stderr, 2 for a bad command line and 1
+otherwise; a stalled fl-run exits 1 after its CSV and its "result=stalled"
+line.
 """
 from __future__ import annotations
 
@@ -156,7 +157,7 @@ def cmd_simulate(args) -> int:
     p = parse_config(args.config)
     stats = run_experiment(p, args.reps, _master_seed(args),
                            n_samples=_n_samples(args),
-                           warmup=args.warmup, config_id=f"lambda={p.lam:g}")
+                           config_id=f"lambda={p.lam:g}")
     rows = [[stats.config_id, stats.replications, name, stats.mean[name],
              stats.std_err[name], stats.analytic[name], stats.rel_error[name]]
             for name in ALL_FIELDS]
@@ -171,11 +172,11 @@ def cmd_sweep(args) -> int:
     n_samples = _n_samples(args)
     points = _sweep_points(base, args.param, args.start, args.stop, args.step)
     for _, p in points:  # fail fast
-        check_experiment(p, args.reps, args.warmup, n_samples)
+        check_experiment(p, args.reps, n_samples)
     rows = []
     for idx, (value, p) in enumerate(points):
         stats = run_experiment(p, args.reps, (seed, idx),
-                               n_samples=n_samples, warmup=args.warmup,
+                               n_samples=n_samples,
                                config_id=f"{args.param}={value:g}")
         rows.append([
             args.param, value,
@@ -270,8 +271,16 @@ def cmd_fl_run(args) -> int:
     return 1 if run.result == "stalled" else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one "error:" line, with no usage."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # subparsers are built with the parser's own class
+    parser = _Parser(
         prog="fedbft",
         description="Latency model and simulator for federated training "
                     "over BFT block commits.")
@@ -293,9 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     def replicated(sp):
         sp.add_argument("--reps", type=int, default=1000)
         sp.add_argument("--n-samples", type=int, default=500)
-        sp.add_argument("--warmup", type=int, default=0,
-                        help="transactions served ahead of each measured "
-                             "block; the queue starts stationary without any")
 
     sp = sub.add_parser("simulate", help="replicate the consensus pipeline")
     common(sp, seeded=True)

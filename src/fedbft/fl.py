@@ -68,11 +68,10 @@ class GlobalModel:
 
 
 def sigmoid(z):
-    """Numerically safe logistic function; a 0-d input gives a float."""
+    """Numerically safe logistic function."""
     z = np.asarray(z, dtype=np.float64)
     t = np.exp(-np.abs(z))
-    out = np.where(z >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
-    return float(out) if out.ndim == 0 else out
+    return np.where(z >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
 
 
 def _margins(w: np.ndarray, ds: Dataset) -> np.ndarray:

@@ -17,8 +17,9 @@ total, ``run_pbft_round`` its prepare and commit delays.  ``run_training``
 repeats cycles until the stop rule.  ``run_experiment`` replicates the
 pipeline and sets the measured delays beside ``latency.t_total`` at each
 realized b.  Each replication starts the queue in its exact stationary
-state, and each chunk of 256 replications reads one pair of streams;
-README "Determinism" sets out that contract.
+state, so its block begins at its first arrival, and each chunk of 256
+replications reads one pair of streams; README "Determinism" sets out
+that contract.
 """
 from __future__ import annotations
 
@@ -80,39 +81,38 @@ def sample_exponential(rate: float, rng: np.random.Generator, size=None,
 
 
 def _serve(p: SystemParams, arrivals: np.ndarray, services: np.ndarray,
-           first_tx: int, C=None, D=None):
+           C=None, D=None):
     """FIFO departures and the seal rule: the simulator's one queue kernel.
 
     Each row of the (rows, n) ``arrivals`` and ``services`` is one stream.
     D_i = max(A_i, D_{i-1}) + S_i is evaluated along each row as C_i +
     max_{j<=i}(A_j - C_j + S_j), with C the cumulative service time.  A
-    row's block starts at ``first_tx`` and seals at its n_block-th departure
-    if that comes no later than tau after its first arrival; otherwise at
-    that timeout with the transactions served by then, or at the first
-    departure if none was; with no timeout, a stream too short to fill it
-    seals at its last departure.  Returns per-row b, seal time and timeout
-    flag, and the (rows, n) departures.  ``C`` and ``D``, (rows, n) float64
-    buffers, receive the cumulative service and the departures if given.
+    row's block seals at its n_block-th departure if that comes no later
+    than tau after its first arrival; otherwise at that timeout with the
+    transactions served by then, or at the first departure if none was;
+    with no timeout, a stream too short to fill it seals at its last
+    departure.  Returns per-row b, seal time and timeout flag, and the
+    (rows, n) departures.  ``C`` and ``D``, (rows, n) float64 buffers,
+    receive the cumulative service and the departures if given.
     """
     C = np.cumsum(services, axis=1, out=C)
     D = np.subtract(arrivals, C, out=D)
     D += services
     np.maximum.accumulate(D, axis=1, out=D)
     D += C
-    cycle = D[:, first_tx:]
-    timeout_at = arrivals[:, first_tx] + p.tau
+    timeout_at = arrivals[:, 0] + p.tau
     finite = np.isfinite(timeout_at)
     # departures never decrease along a row, so this is a searchsorted
-    served = (cycle <= timeout_at[:, None]).sum(axis=1)
-    if cycle.shape[1] >= p.n_block:
-        filled_at = cycle[:, p.n_block - 1]
+    served = (D <= timeout_at[:, None]).sum(axis=1)
+    if D.shape[1] >= p.n_block:
+        filled_at = D[:, p.n_block - 1]
         full = filled_at <= timeout_at
     else:
         filled_at, full = timeout_at, np.zeros(finite.shape, dtype=bool)
     b = np.where(full, p.n_block,
-                 np.where(finite, np.maximum(served, 1), cycle.shape[1]))
+                 np.where(finite, np.maximum(served, 1), D.shape[1]))
     seal_time = np.where(full, filled_at, np.where(
-        finite, np.where(served > 0, timeout_at, cycle[:, 0]), D[:, -1]))
+        finite, np.where(served > 0, timeout_at, D[:, 0]), D[:, -1]))
     return b, seal_time, ~full & finite, D
 
 
@@ -129,7 +129,7 @@ def run_leader_batching(p: SystemParams, n: int,
         raise ValueError("no arrivals to batch")
     arrivals = np.cumsum(sample_exponential(p.lam, streams.arrivals, n))
     b, _, _, D = _serve(p, arrivals[None],
-                        sample_exponential(p.mu, streams.services, n)[None], 0)
+                        sample_exponential(p.mu, streams.services, n)[None])
     b = int(b[0])
     return b, float((D[0] - arrivals)[:b].sum())
 
@@ -312,13 +312,12 @@ def audit_block(
 _CHUNK_REPS = 256
 _CHUNK_ELEMENTS = 1 << 15
 MAX_REPS = 1_000_000
-MAX_WARMUP = 1_000_000
 MAX_DRAWS = 1 << 30
 
 
-def _row_width(p: SystemParams, warmup: int) -> int:
+def _row_width(p: SystemParams) -> int:
     """Draws of one replication, over both streams."""
-    return warmup + p.n_block + 4 * p.f + 2 * (2 * p.f + 1) + 1
+    return p.n_block + 4 * p.f + 2 * (2 * p.f + 1) + 1
 
 
 def _initial_wait(p: SystemParams, e: np.ndarray) -> np.ndarray:
@@ -332,20 +331,19 @@ def _leading(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return buf[:rows * cols].reshape(rows, cols)
 
 
-def _replication_draws(p: SystemParams, replications: int, master_seed,
-                       warmup: int) -> np.ndarray:
+def _replication_draws(p: SystemParams, replications: int,
+                       master_seed) -> np.ndarray:
     """(replications, 4) rows of (b, preprepare, prepare, commit).
 
     Replications c*R .. c*R + R - 1 (R = ``_CHUNK_REPS``) draw in turn from
-    ``RandomStreams.for_replication(master_seed, c)``: warmup + n_block
-    gaps then 4f vote gaps, and warmup + n_block services, 2(2f+1)
-    processing draws and an initial wait that joins the first service.
-    The block starts at index ``warmup``.  Every draw is made, but
+    ``RandomStreams.for_replication(master_seed, c)``: n_block gaps then 4f
+    vote gaps, and n_block services, 2(2f+1) processing draws and an
+    initial wait that joins the first service.  Every draw is made, but
     ``_serve`` gets only the leading columns that some row's timeout can
     reach: an arrival after every row's timeout is never served by it.
     """
-    n = warmup + p.n_block
-    step = max(1, _CHUNK_ELEMENTS // _row_width(p, warmup))
+    n = p.n_block
+    step = max(1, _CHUNK_ELEMENTS // _row_width(p))
     draws = np.empty((replications, 4))
     # one set of buffers for the run; a short last call uses leading rows,
     # and the queue's are flat so that a call's leading columns are
@@ -374,15 +372,14 @@ def _replication_draws(p: SystemParams, replications: int, master_seed,
             # a departure never precedes its arrival, so no row serves a
             # column past ``reach`` by its timeout, nor fills its block
             reach = int(np.searchsorted(arrivals.min(axis=0),
-                                        (arrivals[:, warmup] + p.tau).max(),
+                                        (arrivals[:, 0] + p.tau).max(),
                                         "right"))
             arrivals = arrivals[:, :reach]
-            b, _, _, D = _serve(p, arrivals, services[:, :reach], warmup,
+            b, _, _, D = _serve(p, arrivals, services[:, :reach],
                                 _leading(cum_buf, rows, reach),
                                 _leading(departure_buf, rows, reach))
             # each block's sojourns, summed in arrival order
-            sums = np.subtract(D[:, warmup:], arrivals[:, warmup:],
-                               out=_leading(sum_buf, rows, reach - warmup))
+            sums = np.subtract(D, arrivals, out=_leading(sum_buf, rows, reach))
             np.cumsum(sums, axis=1, out=sums)
             out[:, 0] = b
             out[:, 1] = sums[np.arange(rows), b - 1]
@@ -391,20 +388,16 @@ def _replication_draws(p: SystemParams, replications: int, master_seed,
     return draws
 
 
-def check_experiment(p: SystemParams, replications: int, warmup: int,
+def check_experiment(p: SystemParams, replications: int,
                      n_samples: int) -> None:
-    """Reject a bad replication count or warm-up, a run that would draw
-    more than ``MAX_DRAWS`` values, or a bad n_samples or non-finite
-    model, before anything is drawn."""
+    """Reject a bad replication count, a run that would draw more than
+    ``MAX_DRAWS`` values, or a bad n_samples or non-finite model, before
+    anything is drawn."""
     if replications < 1:
         raise ValueError("replications must be >= 1")
     if replications > MAX_REPS:
         raise ValueError(f"replications must be <= {MAX_REPS}")
-    if warmup < 0:
-        raise ValueError("warmup must be >= 0")
-    if warmup > MAX_WARMUP:
-        raise ValueError(f"warmup must be <= {MAX_WARMUP}")
-    width = _row_width(p, warmup)
+    width = _row_width(p)
     if replications * width > MAX_DRAWS:
         raise ValueError(f"replications x draws per replication must be <= "
                          f"{MAX_DRAWS}, got {replications} x {width}")
@@ -424,23 +417,20 @@ def run_experiment(
     replications: int,
     master_seed: int,
     n_samples: int = 500,
-    warmup: int = 0,
     config_id: str = "run",
 ) -> ExperimentStats:
     """Replicate the consensus pipeline and compare with the model.
 
     Each replication starts the leader's queue in its stationary state, the
-    regime the formulas describe, optionally pushes ``warmup`` more
-    transactions through it, then seals and votes on one block.  Chunks
-    of replications seed their substreams from (master_seed, chunk).
+    regime the formulas describe, then seals and votes on one block.
+    Chunks of replications seed their substreams from (master_seed, chunk).
     A replication's prediction is ``latency.t_total`` at its realized b;
     its measurement is that breakdown with the three consensus phases
     replaced by simulated ones.  Every field, the four sums included, gets
     a mean, a standard error, the mean prediction and a relative error.
     """
-    check_experiment(p, replications, warmup, n_samples)
-    bs, pre, prep, com = _replication_draws(p, replications, master_seed,
-                                            warmup).T
+    check_experiment(p, replications, n_samples)
+    bs, pre, prep, com = _replication_draws(p, replications, master_seed).T
     distinct, which = np.unique(bs, return_inverse=True)
     per_b = [latency.t_total(p, n_samples, int(b)) for b in distinct]
     ana = LatencyBreakdown(*(np.array([getattr(m, name) for m in per_b])[which]

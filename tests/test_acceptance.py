@@ -52,8 +52,7 @@ def test_1_consensus_delay_matches_formula(announce):
         start = time.perf_counter()
         for lam in (50.0, 100.0, 150.0, 200.0, 250.0):
             p = SystemParams(lam=lam)
-            stats = run_experiment(p, 10_000, 42, warmup=1000,
-                                   config_id=f"lambda={lam:g}")
+            stats = run_experiment(p, 10_000, 42, config_id=f"lambda={lam:g}")
             # every replication sealed a full block, so the formula target
             # is exactly the closed form at b = n_block
             assert stats.analytic["t_preprepare"] == pytest.approx(
@@ -82,8 +81,7 @@ def test_3_total_delay_grows_with_fault_budget(announce):
         for f in range(1, 11):
             p = SystemParams(f=f, n_peers=3 * f + 1)
             analytic.append(latency.t_total(p, 500, p.n_block).t_total)
-            stats = run_experiment(p, 1000, (314, f), warmup=1000,
-                                   config_id=f"f={f}")
+            stats = run_experiment(p, 1000, (314, f), config_id=f"f={f}")
             means.append(stats.mean["t_total"])
             errs.append(stats.std_err["t_total"])
         assert all(b > a for a, b in zip(analytic, analytic[1:]))
@@ -236,11 +234,9 @@ def test_7_same_seed_gives_byte_identical_csv(announce, tmp_path):
     with checked(announce, 7, label):
         commands = {
             "model": ["model"],
-            "simulate": ["simulate", "--reps", "50", "--warmup", "100",
-                         "--seed", "9"],
+            "simulate": ["simulate", "--reps", "50", "--seed", "9"],
             "sweep": ["sweep", "--param", "lambda", "--from", "50", "--to",
-                      "150", "--step", "50", "--reps", "20", "--warmup",
-                      "50", "--seed", "9"],
+                      "150", "--step", "50", "--reps", "20", "--seed", "9"],
             "optimal-lambda": ["optimal-lambda"],
             "fl-run": ["fl-run", "--samples", "60", "--cycle-cap", "3",
                        "--holdout", "80", "--seed", "9"],

@@ -84,7 +84,7 @@ def test_model_batch_override(capsys):
 # --- simulate ---
 
 def test_simulate_emits_all_components(capsys):
-    code, out, _ = run_cli(["simulate", "--reps", "5", "--warmup", "10"], capsys)
+    code, out, _ = run_cli(["simulate", "--reps", "5"], capsys)
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == ("config_id,replications,component,mean,std_err,"
@@ -99,8 +99,8 @@ def test_simulate_same_seed_is_byte_identical(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
     for path in (out1, out2):
-        code, _, _ = run_cli(["simulate", "--reps", "8", "--warmup", "10",
-                              "--seed", "5", "--out", str(path)], capsys)
+        code, _, _ = run_cli(["simulate", "--reps", "8", "--seed", "5",
+                              "--out", str(path)], capsys)
         assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert b"\r" not in out1.read_bytes()
@@ -109,10 +109,10 @@ def test_simulate_same_seed_is_byte_identical(tmp_path, capsys):
 def test_simulate_different_seed_differs(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
-    run_cli(["simulate", "--reps", "8", "--warmup", "10", "--seed", "5",
-             "--out", str(out1)], capsys)
-    run_cli(["simulate", "--reps", "8", "--warmup", "10", "--seed", "6",
-             "--out", str(out2)], capsys)
+    run_cli(["simulate", "--reps", "8", "--seed", "5", "--out", str(out1)],
+            capsys)
+    run_cli(["simulate", "--reps", "8", "--seed", "6", "--out", str(out2)],
+            capsys)
     assert out1.read_bytes() != out2.read_bytes()
 
 
@@ -161,8 +161,8 @@ def test_sweep_spec_validation():
 
 def test_sweep_over_lambda(capsys):
     code, out, _ = run_cli(["sweep", "--param", "lambda", "--from", "50",
-                            "--to", "150", "--step", "50", "--reps", "5",
-                            "--warmup", "10"], capsys)
+                            "--to", "150", "--step", "50", "--reps", "5"],
+                           capsys)
     assert code == 0
     lines = out.splitlines()
     assert len(lines) == 4
@@ -172,8 +172,7 @@ def test_sweep_over_lambda(capsys):
 def test_sweep_over_f_adjusts_peer_count(capsys):
     # would fail parameter validation if n_peers stayed at 4
     code, out, _ = run_cli(["sweep", "--param", "f", "--from", "1", "--to",
-                            "3", "--step", "1", "--reps", "3", "--warmup",
-                            "5"], capsys)
+                            "3", "--step", "1", "--reps", "3"], capsys)
     assert code == 0
     assert len(out.splitlines()) == 4
 
@@ -387,12 +386,14 @@ def test_fl_run_rejects_non_integer_adversary_ids(capsys):
 
 @pytest.mark.parametrize("flags, message", [
     (["--reps", "1000000000000000"], "replications must be <= 1000000"),
-    (["--warmup", "100000000000", "--reps", "1"], "warmup must be <= 1000000"),
-    (["--reps", "1000000", "--warmup", "1000000"],
+    (["--reps", "1000000", "--config", "{max_n_block}"],
      "replications x draws per replication must be <= 1073741824, "
-     "got 1000000 x 1000111"),
+     "got 1000000 x 1000011"),
 ])
-def test_simulate_caps_reps_and_warmup(flags, message, capsys):
+def test_simulate_caps_reps_and_draws(flags, message, tmp_path, capsys):
+    cfg = tmp_path / "max_n_block.cfg"
+    cfg.write_text("n_block=1000000\n")
+    flags = [flag.replace("{max_n_block}", str(cfg)) for flag in flags]
     code, out, err = run_cli(["simulate", *flags], capsys)
     assert code == 1
     assert out == ""
@@ -636,6 +637,22 @@ def test_unknown_subcommand_exits_two(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--warmup", "10"], "unrecognized arguments: --warmup 10"),
+    (["sweep", "--param", "lambda", "--from", "50", "--to", "100", "--step",
+      "50", "--warmup", "1"], "unrecognized arguments: --warmup 1"),
+    (["simulate", "--reps", "x"], "argument --reps: invalid int value: 'x'"),
+])
+def test_bad_command_line_is_one_error_line(argv, message, capsys):
+    # no usage line: a bad flag reads like every other error
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_missing_config_file_is_an_error(capsys):
     code, _, err = run_cli(["model", "--config", "/no/such/file.cfg"], capsys)
     assert code == 1
@@ -654,6 +671,8 @@ def input_files(tmp_path_factory):
         "faults.cfg": "f=2\nn_peers=7\nn_block=10\n",
         "inf_mu.cfg": "mu=inf\n",
         "huge_n_block.cfg": "n_block=1000000000000\n",
+        # the largest n_block, which 1000000 replications draw too much at
+        "max_n_block.cfg": "n_block=1000000\n",
         "huge_f.cfg": "f=1000000000000\nn_peers=3000000000001\n",
         "overflow.cfg": "delta_d=1e308\n",
         "bad_key.cfg": "what=1\n",
@@ -710,7 +729,6 @@ def cli_argv(draw):
         argv += opt("--batch", mostly(st.none() | ints(1, 10), 0, 500))
     if command in ("simulate", "sweep"):
         argv += opt("--reps", mostly(ints(1, 20), 0, 10**15))
-        argv += opt("--warmup", mostly(ints(0, 50), -1, 10**11))
     if command == "sweep":
         param = draw(st.sampled_from(cli.SWEEPABLE))
         lo, hi = {"lambda": (10, 90), "mu": (160, 300), "f": (0, 3),
@@ -746,9 +764,10 @@ def cli_argv(draw):
 @given(argv=cli_argv())
 @example(argv=["fl-run", "--data={root}/missing.txt", "--cycle-cap=1"])
 @example(argv=["fl-run", "--data={root}/folder", "--cycle-cap=1"])
-@example(argv=["simulate", "--reps=1000000", "--warmup=1000000"])
-@example(argv=["sweep", "--param=lambda", "--from=50", "--to=100", "--step=50",
-               "--reps=1000000", "--warmup=1000000"])
+@example(argv=["simulate", "--config={root}/max_n_block.cfg",
+               "--reps=1000000"])
+@example(argv=["sweep", "--config={root}/max_n_block.cfg", "--param=lambda",
+               "--from=50", "--to=100", "--step=50", "--reps=1000000"])
 @example(argv=["simulate", "--config={root}/huge_n_block.cfg", "--reps=1"])
 @example(argv=["simulate", "--config={root}/overflow.cfg", "--reps=2"])
 @example(argv=["fl-run", "--config={root}/huge_f.cfg", "--cycle-cap=1"])

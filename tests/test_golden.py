@@ -38,9 +38,9 @@ SHAPES = {
                    "--adversaries", "2", "--cycle-cap", "30"]),
 }
 
-# (golden file, config text, argv); seed 0 and no warm-up in all.  At
-# tau 10 every block seals on size (b = 100); at tau 0.2 every block seals
-# on the timeout, so b varies.
+# (golden file, config text, argv); seed 0 in all.  At tau 10 every block
+# seals on size (b = 100); at tau 0.2 every block seals on the timeout, so
+# b varies.
 SIMULATE = ["simulate", "--reps", "2000"]
 SWEEP = ["sweep", "--param", "lambda", "--from", "50", "--to", "250",
          "--step", "50", "--reps", "300"]

@@ -1,11 +1,13 @@
-"""Every ``fedbft`` command in the README's sh blocks runs, at a small size."""
+"""Every ``fedbft`` command in the README's sh blocks runs, at a small size,
+and every flag the README names exists."""
+import argparse
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-from fedbft.cli import main
+from fedbft.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 # appended after the README's own flags, so argparse keeps these values
@@ -30,3 +32,16 @@ def test_readme_command_runs(command, tmp_path, monkeypatch, capsys):
     header, *rows = out.read_text().splitlines()
     assert re.fullmatch(r"[a-z_]+(,[a-z_]+)+", header), header
     assert rows
+
+
+def test_readme_flags_are_options_of_some_command():
+    text = (ROOT / "README.md").read_text()
+    prose = re.sub(r"^```.*?^```", "", text, flags=re.M | re.S)
+    named = {flag for span in re.findall(r"`([^`\n]+)`", prose)
+             for flag in re.findall(r"(?<![\w-])--[a-z][\w-]*", span)}
+    assert named  # the pattern still finds the README's flags
+    commands = next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    options = {flag for sub in commands.values()
+               for flag in sub._option_string_actions}
+    assert sorted(named - options) == []

@@ -68,7 +68,7 @@ def serve_one(p, arr, seed):
     """One stream through the queue kernel, services drawn from ``seed``:
     b, seal time, timeout flag and departures."""
     services = sample_exponential(p.mu, np.random.default_rng(seed), arr.size)
-    b, seal_time, timed_out, D = sim._serve(p, arr[None], services[None], 0)
+    b, seal_time, timed_out, D = sim._serve(p, arr[None], services[None])
     return int(b[0]), float(seal_time[0]), bool(timed_out[0]), D[0]
 
 
@@ -144,7 +144,7 @@ def test_batching_matches_fifo_recurrence():
     for i in range(50):
         d = max(arr[i], d) + services[i]
         expected[i] = d
-    D = sim._serve(p, arr[None], services[None], 0)[3][0]
+    D = sim._serve(p, arr[None], services[None])[3][0]
     np.testing.assert_allclose(D, expected, rtol=1e-12)
     assert b == 50
     assert sojourn_total == pytest.approx((expected - arr).sum(), rel=1e-12)
@@ -200,16 +200,16 @@ def test_pbft_phase_mean_tracks_formula():
 
 # --- replication path vs a one-replication-at-a-time reference ---
 
-def reference_draws(p, replications, key, warmup):
+def reference_draws(p, replications, key):
     """(b, preprepare, prepare, commit) of each replication, one at a time.
 
     Replications c*R .. c*R + R - 1 read chunk c's streams in turn.  Each
-    draws warmup + n_block gaps then 4f vote gaps from the arrivals stream,
-    and warmup + n_block services, 2(2f+1) processing draws and the
-    initial-wait draw from the services stream.  The stationary initial
-    wait is added to the first service.
+    draws n_block gaps then 4f vote gaps from the arrivals stream, and
+    n_block services, 2(2f+1) processing draws and the initial-wait draw
+    from the services stream.  The stationary initial wait is added to the
+    first service.
     """
-    n = warmup + p.n_block
+    n = p.n_block
     rows = []
     for rep in range(replications):
         if rep % sim._CHUNK_REPS == 0:
@@ -221,10 +221,10 @@ def reference_draws(p, replications, key, warmup):
         services[0] += max(0.0, (math.log(p.lam / p.mu) + p.mu * e)
                            / (p.mu - p.lam))
         arrivals = np.cumsum(gaps[:n])
-        b, _, _, D = sim._serve(p, arrivals[None], services[None, :n], warmup)
+        b, _, _, D = sim._serve(p, arrivals[None], services[None, :n])
         b = int(b[0])
         preprepare = 0.0
-        for tx in range(warmup, warmup + b):
+        for tx in range(b):
             preprepare += D[0, tx] - arrivals[tx]
         prepare, commit = sim._phase_sums(p, gaps[None, n:],
                                           services[None, n:-1])
@@ -232,18 +232,21 @@ def reference_draws(p, replications, key, warmup):
     return np.array(rows)
 
 
-@pytest.mark.parametrize("warmup", [0, 3, 50, 1000])
+@pytest.mark.parametrize("wider", [0, 3, 50, 1000])
 @pytest.mark.parametrize("tau", [10.0, 1.0, 0.2, 0.005, 1e-9, math.inf])
-def test_fast_replication_equals_event_driven(warmup, tau):
+def test_fast_replication_equals_event_driven(wider, tau):
     # the batched replication path draws, bit for bit, what one replication
     # at a time draws from its chunk's streams, across a chunk boundary; at
     # 1e-9 every block seals at its first departure, and at 1.0, about
-    # n_block / lambda, full and timed-out rows share one kernel call
+    # n_block / lambda at the default n_block of 100, full and timed-out
+    # rows share one kernel call.  Blocks ``wider`` than 100 make wider
+    # rows; at 1100 a chunk takes several kernel calls
     reps = sim._CHUNK_REPS + 2
     for f, key in ((0, 3), (1, (42, 7)), (3, 11), (5, (0, 2))):
-        p = SystemParams(tau=tau, f=f, n_peers=3 * f + 1)
-        np.testing.assert_array_equal(_replication_draws(p, reps, key, warmup),
-                                      reference_draws(p, reps, key, warmup))
+        p = SystemParams(tau=tau, f=f, n_peers=3 * f + 1,
+                         n_block=100 + wider)
+        np.testing.assert_array_equal(_replication_draws(p, reps, key),
+                                      reference_draws(p, reps, key))
 
 
 @pytest.mark.parametrize("reps, rows", [
@@ -253,10 +256,9 @@ def test_experiment_does_not_depend_on_block_or_chunk_size(monkeypatch, reps,
                                                            rows):
     # rows per queue-kernel call is outside the stream contract
     p = SystemParams(tau=0.2)
-    expected = run_experiment(p, reps, 5, warmup=3)
-    monkeypatch.setattr(sim, "_CHUNK_ELEMENTS",
-                        rows * sim._row_width(p, 3))
-    assert run_experiment(p, reps, 5, warmup=3) == expected
+    expected = run_experiment(p, reps, 5)
+    monkeypatch.setattr(sim, "_CHUNK_ELEMENTS", rows * sim._row_width(p))
+    assert run_experiment(p, reps, 5) == expected
 
 
 @pytest.mark.parametrize("tau", [0.2, math.inf])
@@ -269,13 +271,13 @@ def test_queue_kernel_gets_only_the_columns_a_timeout_can_reach(monkeypatch,
     serve = sim._serve
     widths = []
 
-    def spy(p, arrivals, services, first_tx, C=None, D=None):
+    def spy(p, arrivals, services, C=None, D=None):
         widths.append(arrivals.shape[1])
         assert services.shape == C.shape == D.shape == arrivals.shape
-        return serve(p, arrivals, services, first_tx, C, D)
+        return serve(p, arrivals, services, C, D)
 
     monkeypatch.setattr(sim, "_serve", spy)
-    _replication_draws(p, 10_000, 42, 0)
+    _replication_draws(p, 10_000, 42)
     assert len(widths) == 40
     if math.isinf(tau):
         assert widths == [p.n_block] * 40
@@ -285,8 +287,8 @@ def test_queue_kernel_gets_only_the_columns_a_timeout_can_reach(monkeypatch,
 
 def test_a_longer_run_extends_a_shorter_one():
     p = SystemParams(tau=0.2)
-    np.testing.assert_array_equal(_replication_draws(p, 700, 9, 0)[:5],
-                                  _replication_draws(p, 5, 9, 0))
+    np.testing.assert_array_equal(_replication_draws(p, 700, 9)[:5],
+                                  _replication_draws(p, 5, 9))
 
 
 @pytest.mark.parametrize("key", [
@@ -303,13 +305,13 @@ def test_seed_kernel_matches_numpy_seeding(key):
                     == np.random.default_rng(child).bit_generator.state)
     p = SystemParams(tau=0.2)
     reps = sim._CHUNK_REPS + 1
-    np.testing.assert_array_equal(_replication_draws(p, reps, key, 0),
-                                  reference_draws(p, reps, key, 0))
+    np.testing.assert_array_equal(_replication_draws(p, reps, key),
+                                  reference_draws(p, reps, key))
 
 
 def test_seed_kernel_rejects_what_numpy_rejects():
     with pytest.raises(ValueError, match="expected non-negative integer"):
-        run_experiment(SystemParams(), 2, (4, -1), warmup=0)
+        run_experiment(SystemParams(), 2, (4, -1))
     for bad in (1.5, math.inf, math.nan):
         with pytest.raises(TypeError, match="seed must be integer"):
             run_experiment(SystemParams(), 2, (3, bad))
@@ -332,15 +334,16 @@ def test_initial_wait_is_the_stationary_wait():
 
 
 def empty_start_preprepare(p, replications, warmup, rng):
-    """Block sojourn totals of queues that start empty and serve ``warmup``
-    transactions before the block."""
+    """Sojourn totals of the last n_block transactions of queues that start
+    empty and serve ``warmup`` transactions before them."""
     n = warmup + p.n_block
+    whole_row = replace(p, n_block=n, tau=math.inf)
     totals = []
     for _ in range(replications // 1000):
         arrivals = np.cumsum(sample_exponential(p.lam, rng, (1000, n)), axis=1)
         services = sample_exponential(p.mu, rng, (1000, n))
-        b, _, _, D = sim._serve(p, arrivals, services, warmup)
-        assert (b == p.n_block).all()
+        b, _, _, D = sim._serve(whole_row, arrivals, services)
+        assert (b == n).all()
         totals.append((D - arrivals)[:, warmup:].sum(axis=1))
     return np.concatenate(totals)
 
@@ -348,7 +351,7 @@ def empty_start_preprepare(p, replications, warmup, rng):
 def test_stationary_start_matches_exact_mean_and_long_warmup():
     # at rho = 0.83 the block's mean sojourn total is n_block / (mu - lambda)
     p = SystemParams(lam=250.0)
-    stationary = _replication_draws(p, 400_000, 2026, 0)[:, 1]
+    stationary = _replication_draws(p, 400_000, 2026)[:, 1]
     warmed = empty_start_preprepare(p, 40_000, 1000, np.random.default_rng(2027))
     se = stationary.std(ddof=1) / math.sqrt(stationary.size)
     se_warmed = warmed.std(ddof=1) / math.sqrt(warmed.size)
@@ -511,7 +514,7 @@ def test_audit_flags_tampered_block():
 
 def test_experiment_reports_every_field():
     p = SystemParams()
-    stats = run_experiment(p, 5, 0, warmup=10, config_id="smoke")
+    stats = run_experiment(p, 5, 0, config_id="smoke")
     assert stats.config_id == "smoke"
     assert stats.replications == 5
     for table in (stats.mean, stats.std_err, stats.analytic, stats.rel_error):
@@ -525,30 +528,29 @@ def test_experiment_reports_every_field():
 
 
 def test_experiment_single_replication_has_no_std_err():
-    stats = run_experiment(SystemParams(), 1, 0, warmup=5)
+    stats = run_experiment(SystemParams(), 1, 0)
     assert set(stats.std_err) == set(ALL_FIELDS)
     assert all(math.isnan(se) for se in stats.std_err.values())
 
 
 def test_experiment_is_deterministic_in_the_seed():
-    a = run_experiment(SystemParams(), 20, 99, warmup=20)
-    b = run_experiment(SystemParams(), 20, 99, warmup=20)
+    a = run_experiment(SystemParams(), 20, 99)
+    b = run_experiment(SystemParams(), 20, 99)
     assert a == b
 
 
-@pytest.mark.parametrize("reps, warmup, message", [
-    (10**15, 0, "replications must be <= 1000000"),
-    (1, 10**11, "warmup must be <= 1000000"),
+@pytest.mark.parametrize("reps, n_block, message", [
+    (10**15, 100, "replications must be <= 1000000"),
     (10**6, 10**6, "replications x draws per replication must be <= "
-                   "1073741824, got 1000000 x 1000111"),
+                   "1073741824, got 1000000 x 1000011"),
 ])
-def test_experiment_caps_reps_and_warmup_before_allocating(reps, warmup,
-                                                          message):
+def test_experiment_caps_reps_and_draws_before_allocating(reps, n_block,
+                                                         message):
     # both once ended in a MemoryError from numpy
     with pytest.raises(ValueError, match=message):
-        run_experiment(SystemParams(), reps, 0, warmup=warmup)
+        run_experiment(SystemParams(n_block=n_block), reps, 0)
 
 
 def test_experiment_converges_toward_formula():
-    stats = run_experiment(SystemParams(), 2000, 0, warmup=500)
+    stats = run_experiment(SystemParams(), 2000, 0)
     assert stats.rel_error["t_consensus"] < 0.02

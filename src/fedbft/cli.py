@@ -10,31 +10,28 @@ line.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-from dataclasses import replace
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import latency
-from .data import (Dataset, read_samples, read_text, split_dataset,
-                   two_class_gaussian)
+from .data import read_enterprises, read_text, split_dataset, two_class_gaussian
 from .domain import ALL_FIELDS, DEFAULT_PARAMS, SystemParams, parse_params_text
-from .sim import RandomStreams, check_experiment, run_experiment, run_training
+from .sim import (SWEEPABLE, RandomStreams, run_experiment, run_sweep,
+                  run_training)
 
 __all__ = ["main", "parse_config", "format_value", "write_csv"]
 
-SWEEPABLE = ("lambda", "f", "n_block", "mu")
-_INT_PARAMS = {"f", "n_block"}
-MAX_SWEEP_POINTS = 10_000
 # feature values fl-run may synthesize in all, about 130 MB
 MAX_SYNTHETIC_VALUES = 1 << 24
+# the ExperimentStats columns that simulate and sweep write, in order
+_STATS = ("mean", "std_err", "analytic", "rel_error")
 
 
 def format_value(value) -> str:
     """Render one CSV cell: 12 significant digits for floats, blank for NaN."""
-    if isinstance(value, float) and np.isnan(value):
+    if isinstance(value, float) and math.isnan(value):
         return ""
     if isinstance(value, float):
         return format(value, ".12g")
@@ -87,12 +84,13 @@ def _master_seed(args) -> int:
     return args.seed
 
 
-def _n_samples(args) -> int:
-    """The --n-samples of a latency command, capped like fl-run's --samples."""
-    if args.n_samples > MAX_SYNTHETIC_VALUES:
-        raise ValueError(f"--n-samples must be <= {MAX_SYNTHETIC_VALUES}, "
-                         f"got {args.n_samples}")
-    return args.n_samples
+def _capped(args, flag: str) -> int:
+    """The value of a size flag, rejected above ``MAX_SYNTHETIC_VALUES``."""
+    value = getattr(args, flag.replace("-", "_"))
+    if value > MAX_SYNTHETIC_VALUES:
+        raise ValueError(f"--{flag} must be <= {MAX_SYNTHETIC_VALUES}, "
+                         f"got {value}")
+    return value
 
 
 def _adversary_ids(text: Optional[str]) -> list[int]:
@@ -114,40 +112,12 @@ def parse_config(path: Optional[str]) -> SystemParams:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _sweep_points(base: SystemParams, param: str, start: float, stop: float,
-                  step: float) -> list[tuple[float, SystemParams]]:
-    """(value, params) for each grid value of param from start to stop by step."""
-    if not step > 0:
-        raise ValueError("step must be positive")
-    if not start < stop:
-        raise ValueError("empty sweep range: start must be < stop")
-    span = np.floor((stop - start) / step + 1e-9)
-    if not span < MAX_SWEEP_POINTS:  # also catches an infinite span
-        raise ValueError(f"sweep grid exceeds {MAX_SWEEP_POINTS} points")
-    values = [start + k * step for k in range(int(span) + 1)]
-    # check every value before building any point, so a grid of 0, 0.5, 1
-    # reports its non-integer value rather than the point n_block=0
-    if param in _INT_PARAMS and any(abs(v - round(v)) > 1e-9 for v in values):
-        raise ValueError(f"{param} sweep requires integer values")
-    points = []
-    for v in values:
-        if param == "f":
-            # an f sweep keeps the peer count consistent with the fault budget
-            changes = {"f": round(v), "n_peers": 3 * round(v) + 1}
-        elif param == "n_block":
-            changes = {"n_block": round(v)}
-        else:
-            changes = {"lam" if param == "lambda" else "mu": v}
-        points.append((v, replace(base, **changes)))
-    return points
-
-
 def cmd_model(args) -> int:
     p = parse_config(args.config)
     b = args.batch if args.batch is not None else p.n_block
     if not 1 <= b <= p.n_block:
         raise ValueError(f"batch must be within 1..{p.n_block} (n_block)")
-    bd = latency.t_total(p, _n_samples(args), b)
+    bd = latency.t_total(p, _capped(args, "n-samples"), b)
     row = [b, *(getattr(bd, name) for name in ALL_FIELDS)]
     write_csv(args.out, ("b",) + ALL_FIELDS, [row])
     return 0
@@ -156,40 +126,26 @@ def cmd_model(args) -> int:
 def cmd_simulate(args) -> int:
     p = parse_config(args.config)
     stats = run_experiment(p, args.reps, _master_seed(args),
-                           n_samples=_n_samples(args),
-                           config_id=f"lambda={p.lam:g}")
-    rows = [[stats.config_id, stats.replications, name, stats.mean[name],
-             stats.std_err[name], stats.analytic[name], stats.rel_error[name]]
+                           n_samples=_capped(args, "n-samples"))
+    rows = [[f"lambda={p.lam:g}", args.reps, name,
+             *(getattr(stats, stat)[name] for stat in _STATS)]
             for name in ALL_FIELDS]
-    write_csv(args.out, ("config_id", "replications", "component", "mean",
-                         "std_err", "analytic", "rel_error"), rows)
+    write_csv(args.out, ("config_id", "replications", "component") + _STATS,
+              rows)
     return 0
 
 
 def cmd_sweep(args) -> int:
-    base = parse_config(args.config)
-    seed = _master_seed(args)
-    n_samples = _n_samples(args)
-    points = _sweep_points(base, args.param, args.start, args.stop, args.step)
-    for _, p in points:  # fail fast
-        check_experiment(p, args.reps, n_samples)
-    rows = []
-    for idx, (value, p) in enumerate(points):
-        stats = run_experiment(p, args.reps, (seed, idx),
-                               n_samples=n_samples,
-                               config_id=f"{args.param}={value:g}")
-        rows.append([
-            args.param, value,
-            stats.mean["t_consensus"], stats.std_err["t_consensus"],
-            stats.analytic["t_consensus"], stats.rel_error["t_consensus"],
-            stats.mean["t_total"], stats.std_err["t_total"],
-            stats.analytic["t_total"], stats.rel_error["t_total"],
-        ])
+    points = run_sweep(parse_config(args.config), args.param, args.start,
+                       args.stop, args.step, args.reps, _master_seed(args),
+                       _capped(args, "n-samples"))
+    columns = [(name, stat) for name in ("t_consensus", "t_total")
+               for stat in _STATS]
+    rows = [[args.param, value,
+             *(getattr(stats, stat)[name] for name, stat in columns)]
+            for value, stats in points]
     write_csv(args.out, ("param", "value",
-                         "t_consensus_mean", "t_consensus_std_err",
-                         "t_consensus_analytic", "t_consensus_rel_error",
-                         "t_total_mean", "t_total_std_err",
-                         "t_total_analytic", "t_total_rel_error"), rows)
+                         *(f"{name}_{stat}" for name, stat in columns)), rows)
     return 0
 
 
@@ -208,51 +164,33 @@ def cmd_optimal_lambda(args) -> int:
     return 0
 
 
-def _check_synthetic_size(args) -> None:
-    """Cap the synthetic data sizes before any of it is drawn."""
-    for flag in ("enterprises", "samples", "holdout", "features"):
-        if getattr(args, flag) > MAX_SYNTHETIC_VALUES:
-            raise ValueError(f"--{flag} must be <= {MAX_SYNTHETIC_VALUES}, "
-                             f"got {getattr(args, flag)}")
-    total = (args.enterprises * args.samples + args.holdout) * args.features
+def _synthetic_enterprises(args, streams: RandomStreams):
+    """Per-enterprise train/test splits plus a held-out set, drawn from
+    ``streams.data`` once every size flag is capped."""
+    n_ent, n_samples, n_holdout, n_features = (
+        _capped(args, flag)
+        for flag in ("enterprises", "samples", "holdout", "features"))
+    total = (n_ent * n_samples + n_holdout) * n_features
     if total > MAX_SYNTHETIC_VALUES:
         raise ValueError("(--enterprises x --samples + --holdout) x --features "
                          f"must be <= {MAX_SYNTHETIC_VALUES}, got {total}")
-
-
-def _load_enterprises(args, streams: RandomStreams):
-    """Build per-enterprise train/test splits plus a held-out set."""
-    if args.data is not None:
-        paths = [s for s in args.data.split(",") if s]
-        if not paths:
-            raise ValueError("no data file given")
-        datasets = [read_samples(path, owner=i) for i, path in enumerate(paths)]
-        dims = {d.dim for d in datasets}
-        if len(dims) != 1:
-            raise ValueError("data files disagree on feature count")
-        enterprises = [split_dataset(d) for d in datasets]
-        holdout_parts = [e.test for e in enterprises]
-        holdout = Dataset(np.vstack([d.x for d in holdout_parts]),
-                          np.concatenate([d.y for d in holdout_parts]))
-        return enterprises, holdout
-    _check_synthetic_size(args)
-    datasets = [two_class_gaussian(args.samples, args.features,
-                                   args.separation, streams.data, owner=i)
-                for i in range(args.enterprises)]
-    enterprises = [split_dataset(d) for d in datasets]
-    holdout = two_class_gaussian(args.holdout, args.features,
-                                 args.separation, streams.data)
-    return enterprises, holdout
+    datasets = [two_class_gaussian(n_samples, n_features, args.separation,
+                                   streams.data, owner=i)
+                for i in range(n_ent)]
+    holdout = two_class_gaussian(n_holdout, n_features, args.separation,
+                                 streams.data)
+    return [split_dataset(d) for d in datasets], holdout
 
 
 def cmd_fl_run(args) -> int:
     p = parse_config(args.config)
     streams = RandomStreams.from_seed(_master_seed(args))
     adversaries = _adversary_ids(args.adversaries)
-    enterprises, holdout = _load_enterprises(args, streams)
-    for a in adversaries:
-        if not 0 <= a < len(enterprises):
-            raise ValueError(f"adversary id {a} out of range")
+    if args.data is not None:
+        enterprises, holdout = read_enterprises(
+            [s for s in args.data.split(",") if s])
+    else:
+        enterprises, holdout = _synthetic_enterprises(args, streams)
     run = run_training(p, enterprises, holdout, streams, adversaries,
                        cycle_cap=args.cycle_cap)
     header = ("cycle", "weight_delta", "holdout_accuracy", "train_loss",
@@ -260,9 +198,7 @@ def cmd_fl_run(args) -> int:
     write_csv(args.out, header, run.rows)
     summary = f"result={run.result} cycles={len(run.rows)}"
     if adversaries:
-        admitted = sum(any(tx.enterprise_id in adversaries for tx in block.txs)
-                       for block in run.blocks)
-        summary += f" adversary_blocks={admitted}"
+        summary += f" adversary_blocks={run.adversary_blocks}"
     # keep stdout clean when it is carrying the CSV
     if args.out in (None, "-"):
         print(summary, file=sys.stderr)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -12,6 +13,7 @@ __all__ = [
     "split_dataset",
     "read_text",
     "read_samples",
+    "read_enterprises",
 ]
 
 
@@ -34,8 +36,11 @@ class Dataset:
             raise ValueError("x must be a nonempty (N, n) matrix")
         if y.shape != (x.shape[0],):
             raise ValueError("y must have one label per row of x")
-        if not np.isfinite(x).all():
-            raise ValueError("x must be finite")
+        # training forms dot products of rows, so each row's squared norm
+        # must be finite too; a nan or infinite value fails the same check
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.einsum("ij,ij->i", x, x)).all():
+                raise ValueError("x must be finite, with finite squared row norms")
         if not np.isin(y, (-1, 1)).all():
             raise ValueError("labels must be -1 or +1")
 
@@ -141,4 +146,21 @@ def read_samples(path: str, owner: int = 0) -> Dataset:
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise ValueError(f"inconsistent feature count in {path}")
-    return Dataset(np.array(rows), np.array(labels), owner)
+    try:
+        return Dataset(np.array(rows), np.array(labels), owner)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def read_enterprises(paths: Sequence[str]) -> tuple[list[EnterpriseData], Dataset]:
+    """One enterprise per sample file, split by ``split_dataset``, and the
+    held-out set pooled from their test rows in file order."""
+    if not paths:
+        raise ValueError("no data file given")
+    datasets = [read_samples(path, owner=i) for i, path in enumerate(paths)]
+    if len({d.dim for d in datasets}) != 1:
+        raise ValueError("data files disagree on feature count")
+    enterprises = [split_dataset(d) for d in datasets]
+    holdout = Dataset(np.vstack([e.test.x for e in enterprises]),
+                      np.concatenate([e.test.y for e in enterprises]))
+    return enterprises, holdout

@@ -308,14 +308,8 @@ class ExperimentStats:
     All four mappings are keyed by the latency field names.
     """
 
-    config_id: str
-    replications: int
     mean: dict[str, float]
     std_err: dict[str, float]
     analytic: dict[str, float]
     rel_error: dict[str, float]
-
-    def __post_init__(self) -> None:
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
 

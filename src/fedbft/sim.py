@@ -16,10 +16,10 @@ at a time: ``run_leader_batching`` gives the block's size and sojourn
 total, ``run_pbft_round`` its prepare and commit delays.  ``run_training``
 repeats cycles until the stop rule.  ``run_experiment`` replicates the
 pipeline and sets the measured delays beside ``latency.t_total`` at each
-realized b.  Each replication starts the queue in its exact stationary
-state, so its block begins at its first arrival, and each chunk of 256
-replications reads one pair of streams; README "Determinism" sets out
-that contract.
+realized b, and ``run_sweep`` does so at each point of a parameter grid.
+Each replication starts the queue in its exact stationary state, so its
+block begins at its first arrival, and each chunk of 256 replications
+reads one pair of streams; README "Determinism" sets out that contract.
 """
 from __future__ import annotations
 
@@ -40,7 +40,7 @@ __all__ = [
     "RandomStreams", "sample_exponential",
     "run_leader_batching", "run_pbft_round",
     "run_cycle", "TrainingRun", "run_training",
-    "check_experiment", "run_experiment", "audit_block",
+    "run_experiment", "SWEEPABLE", "run_sweep", "audit_block",
 ]
 
 
@@ -241,11 +241,13 @@ class TrainingRun:
 
     ``result`` is "converged", "cycle-cap", or "stalled" when a cycle's
     candidate set came out empty and nothing could be sealed.
+    ``adversary_blocks`` counts the sealed blocks holding an adversary's tx.
     """
 
     rows: list[tuple]
     blocks: list[Block]
     result: str
+    adversary_blocks: int
 
 
 def run_training(
@@ -261,9 +263,13 @@ def run_training(
 
     Each row records the cycle index, the global weight move, held-out
     accuracy, pooled training loss, the sealed block's transaction count
-    and the full latency breakdown.  A non-finite latency model is
-    rejected before any training.
+    and the full latency breakdown.  An adversary id that names no
+    enterprise and a non-finite latency model are rejected before any
+    training.
     """
+    for a in adversaries:
+        if not 0 <= a < len(enterprises):
+            raise ValueError(f"adversary id {a} out of range")
     if cycle_cap < 1:
         raise ValueError("cycle_cap must be >= 1")
     if not enterprises:
@@ -283,7 +289,8 @@ def run_training(
         except _NothingToSeal:
             result = "stalled"
             break
-        delta = float(np.linalg.norm(model.weights - prev))
+        # hypot scales as it sums, so a finite move has a finite norm
+        delta = math.hypot(*(model.weights - prev).tolist())
         rows.append((
             cycle, delta, accuracy(model.weights, holdout),
             pooled_mean_loss(model.weights, train_sets), len(block.txs),
@@ -293,7 +300,9 @@ def run_training(
         if delta <= p.epsilon:
             result = "converged"
             break
-    return TrainingRun(rows, blocks, result)
+    admitted = sum(any(tx.enterprise_id in adversaries for tx in block.txs)
+                   for block in blocks)
+    return TrainingRun(rows, blocks, result, admitted)
 
 
 def audit_block(
@@ -388,8 +397,8 @@ def _replication_draws(p: SystemParams, replications: int,
     return draws
 
 
-def check_experiment(p: SystemParams, replications: int,
-                     n_samples: int) -> None:
+def _check_experiment(p: SystemParams, replications: int,
+                      n_samples: int) -> None:
     """Reject a bad replication count, a run that would draw more than
     ``MAX_DRAWS`` values, or a bad n_samples or non-finite model, before
     anything is drawn."""
@@ -417,7 +426,6 @@ def run_experiment(
     replications: int,
     master_seed: int,
     n_samples: int = 500,
-    config_id: str = "run",
 ) -> ExperimentStats:
     """Replicate the consensus pipeline and compare with the model.
 
@@ -429,7 +437,7 @@ def run_experiment(
     replaced by simulated ones.  Every field, the four sums included, gets
     a mean, a standard error, the mean prediction and a relative error.
     """
-    check_experiment(p, replications, n_samples)
+    _check_experiment(p, replications, n_samples)
     bs, pre, prep, com = _replication_draws(p, replications, master_seed).T
     distinct, which = np.unique(bs, return_inverse=True)
     per_b = [latency.t_total(p, n_samples, int(b)) for b in distinct]
@@ -441,10 +449,57 @@ def run_experiment(
     mean = {name: m for name, (m, _) in rows.items()}
     analytic = {name: float(getattr(ana, name).mean()) for name in ALL_FIELDS}
     return ExperimentStats(
-        config_id=config_id,
-        replications=replications,
         mean=mean,
         std_err={n: se for n, (_, se) in rows.items()},
         analytic=analytic,
         rel_error={n: abs(mean[n] - analytic[n]) / analytic[n] for n in ALL_FIELDS},
     )
+
+
+SWEEPABLE = ("lambda", "f", "n_block", "mu")
+_INT_PARAMS = {"f", "n_block"}
+MAX_SWEEP_POINTS = 10_000
+
+
+def _sweep_points(base: SystemParams, param: str, start: float, stop: float,
+                  step: float) -> list[tuple[float, SystemParams]]:
+    """(value, params) for each grid value of param from start to stop by step."""
+    if not step > 0:
+        raise ValueError("step must be positive")
+    if not start < stop:
+        raise ValueError("empty sweep range: start must be < stop")
+    span = np.floor((stop - start) / step + 1e-9)
+    if not span < MAX_SWEEP_POINTS:  # also catches an infinite span
+        raise ValueError(f"sweep grid exceeds {MAX_SWEEP_POINTS} points")
+    values = [start + k * step for k in range(int(span) + 1)]
+    # check every value before building any point, so a grid of 0, 0.5, 1
+    # reports its non-integer value rather than the point n_block=0
+    if param in _INT_PARAMS and any(abs(v - round(v)) > 1e-9 for v in values):
+        raise ValueError(f"{param} sweep requires integer values")
+    points = []
+    for v in values:
+        if param == "f":
+            # an f sweep keeps the peer count consistent with the fault budget
+            changes = {"f": round(v), "n_peers": 3 * round(v) + 1}
+        elif param == "n_block":
+            changes = {"n_block": round(v)}
+        else:
+            changes = {"lam" if param == "lambda" else "mu": v}
+        points.append((v, replace(base, **changes)))
+    return points
+
+
+def run_sweep(base: SystemParams, param: str, start: float, stop: float,
+              step: float, replications: int, master_seed: int,
+              n_samples: int) -> list[tuple[float, ExperimentStats]]:
+    """``run_experiment`` at each value of param from start to stop by step.
+
+    ``param`` is one of ``SWEEPABLE``; an f sweep sets n_peers = 3f + 1
+    with it.  Every point is checked before the first one runs, and point
+    k seeds its replications from (master_seed, k).
+    """
+    points = _sweep_points(base, param, start, stop, step)
+    for _, p in points:
+        _check_experiment(p, replications, n_samples)
+    return [(value, run_experiment(p, replications, (master_seed, k), n_samples))
+            for k, (value, p) in enumerate(points)]

@@ -52,7 +52,7 @@ def test_1_consensus_delay_matches_formula(announce):
         start = time.perf_counter()
         for lam in (50.0, 100.0, 150.0, 200.0, 250.0):
             p = SystemParams(lam=lam)
-            stats = run_experiment(p, 10_000, 42, config_id=f"lambda={lam:g}")
+            stats = run_experiment(p, 10_000, 42)
             # every replication sealed a full block, so the formula target
             # is exactly the closed form at b = n_block
             assert stats.analytic["t_preprepare"] == pytest.approx(
@@ -81,7 +81,7 @@ def test_3_total_delay_grows_with_fault_budget(announce):
         for f in range(1, 11):
             p = SystemParams(f=f, n_peers=3 * f + 1)
             analytic.append(latency.t_total(p, 500, p.n_block).t_total)
-            stats = run_experiment(p, 1000, (314, f), config_id=f"f={f}")
+            stats = run_experiment(p, 1000, (314, f))
             means.append(stats.mean["t_total"])
             errs.append(stats.std_err["t_total"])
         assert all(b > a for a, b in zip(analytic, analytic[1:]))

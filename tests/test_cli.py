@@ -129,7 +129,7 @@ def test_simulate_analytic_column_is_the_model_row(capsys):
 # --- sweep ---
 
 def sweep_points(param, start, stop, step, base=DEFAULT_PARAMS):
-    return cli._sweep_points(base, param, start, stop, step)
+    return sim._sweep_points(base, param, start, stop, step)
 
 
 def test_sweep_values_inclusive_grid():
@@ -275,7 +275,7 @@ def test_simulate_rejects_zero_reps(capsys):
 def test_sweep_rejects_zero_reps(capsys, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("a point ran with zero replications")
-    monkeypatch.setattr(cli, "run_experiment", no_work)
+    monkeypatch.setattr(sim, "run_experiment", no_work)
     code, out, err = run_cli(["sweep", "--param", "lambda", "--from", "50",
                               "--to", "150", "--step", "50", "--reps", "0"],
                              capsys)
@@ -404,7 +404,7 @@ def test_sweep_checks_every_point_before_the_first_runs(tmp_path, capsys,
                                                          monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("a point ran before the grid was checked")
-    monkeypatch.setattr(cli, "run_experiment", no_work)
+    monkeypatch.setattr(sim, "run_experiment", no_work)
     # the second point, n_block = 1000000, draws too much at 2000 reps
     code, out, err = run_cli(["sweep", "--param", "n_block", "--from", "100",
                               "--to", "1000000", "--step", "999900",
@@ -494,7 +494,7 @@ def test_unwritable_out_path_fails_before_any_work(command, tmp_path, capsys,
     def no_work(*args, **kwargs):
         raise AssertionError("the run started before --out was checked")
     monkeypatch.setattr(cli, "run_training", no_work)
-    monkeypatch.setattr(cli, "run_experiment", no_work)
+    monkeypatch.setattr(sim, "run_experiment", no_work)
     target = tmp_path / "missing" / "x.csv"
     code, out, err = run_cli([*command, "--out", str(target)], capsys)
     assert code == 1
@@ -547,6 +547,44 @@ def test_out_path_check_leaves_no_file_behind(tmp_path, capsys):
     assert code == 1
     assert err == "error: need at least one enterprise\n"
     assert not target.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    # finite values whose squared row norms overflow, which the step's
+    # Gram matrix of rows would turn into a false divergence
+    (["fl-run", "--data", "{tmp}/big.txt"],
+     "{tmp}/big.txt: x must be finite, with finite squared row norms"),
+    (["fl-run", "--separation", "1e200", "--samples", "40", "--holdout", "40"],
+     "x must be finite, with finite squared row norms"),
+    (["fl-run", "--data", "{tmp}/inf.txt"],
+     "{tmp}/inf.txt: x must be finite, with finite squared row norms"),
+])
+def test_untrainable_data_is_one_error_line(argv, message, tmp_path, capsys):
+    (tmp_path / "big.txt").write_text("1 1e160 1e160\n-1 -1e160 2e160\n"
+                                      "1 3e159 1e160\n-1 -2e160 -1e160\n")
+    (tmp_path / "inf.txt").write_text("1 0.5 inf\n-1 0.2 0.1\n1 0.3 0.3\n")
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning fails the test
+        code, out, err = run_cli([*argv, "--cycle-cap", "2"], capsys)
+    message = message.replace("{tmp}", str(tmp_path))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_fl_run_weight_delta_of_a_huge_finite_move_is_finite(tmp_path,
+                                                             capsys):
+    # at beta 1e200 the weights move by about 1e199, whose square overflows
+    cfg = tmp_path / "huge_beta.cfg"
+    cfg.write_text("beta=1e200\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["fl-run", "--config", str(cfg), "--samples",
+                                  "40", "--holdout", "40", "--cycle-cap", "3"],
+                                 capsys)
+    assert (code, err) == (0, "result=cycle-cap cycles=3\n")
+    deltas = [float(row.split(",")[1]) for row in out.splitlines()[1:]]
+    assert len(deltas) == 3
+    assert all(1e198 < d < math.inf for d in deltas)
 
 
 def test_fl_run_rejects_mismatched_data_files(tmp_path, capsys):
@@ -730,7 +768,7 @@ def cli_argv(draw):
     if command in ("simulate", "sweep"):
         argv += opt("--reps", mostly(ints(1, 20), 0, 10**15))
     if command == "sweep":
-        param = draw(st.sampled_from(cli.SWEEPABLE))
+        param = draw(st.sampled_from(sim.SWEEPABLE))
         lo, hi = {"lambda": (10, 90), "mu": (160, 300), "f": (0, 3),
                   "n_block": (1, 50)}[param]
         start = draw(mostly(ints(lo, hi), -5, 0.5, 1e300))

@@ -16,6 +16,9 @@ def test_dataset_validation():
         Dataset(np.ones((2, 2)), np.array([1, 0]))
     with pytest.raises(ValueError, match="x must be finite"):
         Dataset(np.array([[np.nan]]), np.array([1]))
+    # every value is finite, but the row's squared norm is not
+    with pytest.raises(ValueError, match="x must be finite"):
+        Dataset(np.array([[1e160, 1e160]]), np.array([1]))
 
 
 def test_dataset_samples_roundtrip():
@@ -121,6 +124,8 @@ def test_samples_file_skips_blank_lines(tmp_path):
     ("inf 0.5\n", "label must be -1 or \\+1 on line 1"),
     ("nan 0.5\n", "label must be -1 or \\+1 on line 1"),
     (b"1 0.5\n\xff\xfe\n", "cannot read .*bad.txt: not UTF-8 text"),
+    # a rejection by Dataset names the file too
+    ("1 0.5 inf\n-1 0.2 0.1\n", "bad.txt: x must be finite"),
 ])
 def test_samples_file_errors(tmp_path, content, msg):
     path = tmp_path / "bad.txt"

@@ -11,6 +11,7 @@ import fedbft
 MODULES = ["fedbft"] + sorted(
     m.name for m in pkgutil.iter_modules(fedbft.__path__, "fedbft."))
 ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
+CLI = Path(fedbft.__file__).with_name("cli.py")
 
 
 def test_every_module_is_listed():
@@ -49,3 +50,15 @@ def test_every_export_has_a_caller(name):
     short = name.rpartition(".")[2]
     assert [n for n in module.__all__ if not n.startswith("__")
             and n not in used and f"{short}.{n}" not in used] == []
+
+
+def test_cli_imports_no_numpy():
+    # array work, and the grid and data decisions made with it, belong to
+    # the engine modules; the CLI parses, checks flags and writes CSV
+    imported = set()
+    for node in ast.walk(ast.parse(CLI.read_text())):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module)
+    assert [m for m in imported if m.partition(".")[0] == "numpy"] == []

@@ -23,7 +23,9 @@ from .sim import (SWEEPABLE, RandomStreams, run_experiment, run_sweep,
 
 __all__ = ["main", "parse_config", "format_value", "write_csv"]
 
-# feature values fl-run may synthesize in all, about 130 MB
+# feature values fl-run may synthesize in all, about 130 MB of float64;
+# building them takes up to twice that at its peak, since each set is
+# copied once, on its shuffle or its split, while the original is alive
 MAX_SYNTHETIC_VALUES = 1 << 24
 # the ExperimentStats columns that simulate and sweep write, in order
 _STATS = ("mean", "std_err", "analytic", "rel_error")

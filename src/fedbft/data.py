@@ -87,14 +87,18 @@ def two_class_gaussian(
     n_pos = n_samples // 2
     n_neg = n_samples - n_pos
     mean = (separation / 2.0) * np.ones(n_features) / np.sqrt(n_features)
-    x = np.vstack([
-        rng.standard_normal((n_pos, n_features)) + mean,
-        rng.standard_normal((n_neg, n_features)) - mean,
-    ])
+    # one draw for both classes, class +1 rows first (README "Determinism"),
+    # with the means added in place: the set lives in one buffer until it
+    # is shuffled
+    x = rng.standard_normal((n_samples, n_features))
+    x[:n_pos] += mean
+    x[n_pos:] -= mean
     y = np.concatenate([np.ones(n_pos, dtype=np.int64),
                         -np.ones(n_neg, dtype=np.int64)])
     order = rng.permutation(n_samples)
-    return Dataset(x[order], y[order], owner)
+    # rebinding frees the unshuffled draw before Dataset copies the rows
+    x = x[order]
+    return Dataset(x, y[order], owner)
 
 
 def split_dataset(ds: Dataset, test_fraction: float = 0.2) -> EnterpriseData:

@@ -150,29 +150,34 @@ def svrg_local_cycle(
     # u moves by -sum_i a_i x_i, so row j's dot is its block-start dot
     # d_j less sum_{i<j} a_i x_j.x_i from the block's Gram matrix, and u
     # is updated once per block.
-    c = step * anchor_grad
-    u = anchor_w.copy()
-    rows = np.empty((min(_CHUNK, p.t_max), ds.dim))
-    for t0 in range(0, p.t_max, _CHUNK):
-        ks = rng.integers(n_i, size=min(_CHUNK, p.t_max - t0))
-        # every chunk gathers into one buffer; the indices are in range, so
-        # "clip" only skips the checked mode's copy through a temporary
-        xc = np.take(ds.x, ks, axis=0, out=rows[:len(ks)], mode="clip")
-        yc = ds.y[ks]
-        y = yc.tolist()
-        sa = sigmoid(yc * xc.dot(anchor_w)).tolist()
-        r = (yc * xc.dot(c)).tolist()
-        for b0 in range(0, len(y), _BLOCK):
-            xb = xc[b0:b0 + _BLOCK]
-            a = []
-            for j, (d, g) in enumerate(zip(xb.dot(u).tolist(),
-                                           xb.dot(xb.T).tolist()), b0):
-                z = y[j] * (d - sum(map(mul, a, g))) - (t0 + j) * r[j]
-                e = math.exp(-abs(z))
-                s = 1.0 / (1.0 + e) if z >= 0 else e / (1.0 + e)
-                a.append(y[j] * (step * (s - sa[j])))
-            u -= np.dot(a, xb)
-    w = u - p.t_max * c
+    #
+    # A diverging pass overflows on the way; the isfinite check after it
+    # reports that as one error, so the pass runs with numpy's overflow
+    # and invalid-value warnings off.
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = step * anchor_grad
+        u = anchor_w.copy()
+        rows = np.empty((min(_CHUNK, p.t_max), ds.dim))
+        for t0 in range(0, p.t_max, _CHUNK):
+            ks = rng.integers(n_i, size=min(_CHUNK, p.t_max - t0))
+            # every chunk gathers into one buffer; the indices are in range,
+            # so "clip" only skips the checked mode's copy through a temporary
+            xc = np.take(ds.x, ks, axis=0, out=rows[:len(ks)], mode="clip")
+            yc = ds.y[ks]
+            y = yc.tolist()
+            sa = sigmoid(yc * xc.dot(anchor_w)).tolist()
+            r = (yc * xc.dot(c)).tolist()
+            for b0 in range(0, len(y), _BLOCK):
+                xb = xc[b0:b0 + _BLOCK]
+                a = []
+                for j, (d, g) in enumerate(zip(xb.dot(u).tolist(),
+                                               xb.dot(xb.T).tolist()), b0):
+                    z = y[j] * (d - sum(map(mul, a, g))) - (t0 + j) * r[j]
+                    e = math.exp(-abs(z))
+                    s = 1.0 / (1.0 + e) if z >= 0 else e / (1.0 + e)
+                    a.append(y[j] * (step * (s - sa[j])))
+                u -= np.dot(a, xb)
+        w = u - p.t_max * c
     if not np.isfinite(w).all():
         raise ValueError("local update diverged; reduce beta")
 

@@ -456,7 +456,7 @@ def run_experiment(
     )
 
 
-SWEEPABLE = ("lambda", "f", "n_block", "mu")
+SWEEPABLE = ("lambda", "f", "n_block", "mu", "tau")
 _INT_PARAMS = {"f", "n_block"}
 MAX_SWEEP_POINTS = 10_000
 
@@ -484,7 +484,7 @@ def _sweep_points(base: SystemParams, param: str, start: float, stop: float,
         elif param == "n_block":
             changes = {"n_block": round(v)}
         else:
-            changes = {"lam" if param == "lambda" else "mu": v}
+            changes = {"lam" if param == "lambda" else param: v}
         points.append((v, replace(base, **changes)))
     return points
 

@@ -139,6 +139,8 @@ def test_sweep_values_inclusive_grid():
     # an f sweep keeps n_peers = 3f + 1
     points = sweep_points("f", 1.0, 3.0, 1.0)
     assert [(p.f, p.n_peers) for _, p in points] == [(1, 4), (2, 7), (3, 10)]
+    points = sweep_points("tau", 0.1, 0.3, 0.1)
+    assert [p.tau for _, p in points] == [v for v, _ in points]
 
 
 def test_sweep_spec_validation():
@@ -175,6 +177,24 @@ def test_sweep_over_f_adjusts_peer_count(capsys):
                             "3", "--step", "1", "--reps", "3"], capsys)
     assert code == 0
     assert len(out.splitlines()) == 4
+
+
+def test_sweep_over_tau(capsys):
+    code, out, _ = run_cli(["sweep", "--param", "tau", "--from", "0.1",
+                            "--to", "0.3", "--step", "0.1", "--reps", "5"],
+                           capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 4
+    assert [l.split(",")[:2] for l in lines[1:]] == [
+        ["tau", "0.1"], ["tau", "0.2"], ["tau", "0.3"]]
+
+
+def test_sweep_rejects_a_tau_of_zero(capsys):
+    code, out, err = run_cli(["sweep", "--param", "tau", "--from", "0",
+                              "--to", "0.2", "--step", "0.1", "--reps", "5"],
+                             capsys)
+    assert (code, out, err) == (1, "", "error: tau must be positive\n")
 
 
 def test_sweep_fails_fast_before_any_output(capsys):
@@ -502,13 +522,14 @@ def test_unwritable_out_path_fails_before_any_work(command, tmp_path, capsys,
     assert err == f"error: cannot write {target}: No such file or directory\n"
 
 
-def run_module(argv, stdout):
+def run_module(argv, stdout, python_flags=()):
     """``python -m fedbft.cli argv`` with its stdout on ``stdout``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(__file__).resolve().parents[1] / "src"),
                     env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "fedbft.cli", *argv],
+    return subprocess.run([sys.executable, *python_flags, "-m", "fedbft.cli",
+                           *argv],
                           stdout=stdout, stderr=subprocess.PIPE, text=True,
                           env=env, timeout=120)
 
@@ -585,6 +606,18 @@ def test_fl_run_weight_delta_of_a_huge_finite_move_is_finite(tmp_path,
     deltas = [float(row.split(",")[1]) for row in out.splitlines()[1:]]
     assert len(deltas) == 3
     assert all(1e198 < d < math.inf for d in deltas)
+
+
+def test_diverging_update_is_one_error_line(tmp_path):
+    # a step factor of 1e200 on classes 1e150 apart overflows the local
+    # pass; with warnings as errors, only the divergence check may speak
+    cfg = tmp_path / "huge_beta.cfg"
+    cfg.write_text("beta=1e200\n")
+    done = run_module(["fl-run", "--config", str(cfg), "--samples", "40",
+                       "--holdout", "40", "--separation", "1e150"],
+                      subprocess.PIPE, python_flags=("-W", "error"))
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1, "", "error: local update diverged; reduce beta\n")
 
 
 def test_fl_run_rejects_mismatched_data_files(tmp_path, capsys):
@@ -770,7 +803,7 @@ def cli_argv(draw):
     if command == "sweep":
         param = draw(st.sampled_from(sim.SWEEPABLE))
         lo, hi = {"lambda": (10, 90), "mu": (160, 300), "f": (0, 3),
-                  "n_block": (1, 50)}[param]
+                  "n_block": (1, 50), "tau": (1, 20)}[param]
         start = draw(mostly(ints(lo, hi), -5, 0.5, 1e300))
         step = draw(mostly(ints(1, 30), 0, -1, 0.25))
         count = draw(mostly(st.sampled_from([1, 3]), -1, 0, 10**9))

@@ -1,4 +1,6 @@
 """Dataset synthesis, splitting and the plain-text samples format."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,44 @@ def test_gaussian_class_means_sit_separation_apart():
     mean_neg = ds.x[ds.y == -1].mean(axis=0)
     gap = float(np.linalg.norm(mean_pos - mean_neg))
     assert gap == pytest.approx(sep, abs=0.05)
+
+
+def former_two_class_gaussian(n_samples, n_features, separation, rng):
+    """The 0.6.0 construction: one draw per class block, stacked, shuffled."""
+    n_pos = n_samples // 2
+    n_neg = n_samples - n_pos
+    mean = (separation / 2.0) * np.ones(n_features) / np.sqrt(n_features)
+    x = np.vstack([rng.standard_normal((n_pos, n_features)) + mean,
+                   rng.standard_normal((n_neg, n_features)) - mean])
+    y = np.concatenate([np.ones(n_pos, dtype=np.int64),
+                        -np.ones(n_neg, dtype=np.int64)])
+    order = rng.permutation(n_samples)
+    return x[order], y[order]
+
+
+@pytest.mark.parametrize("n_samples, n_features", [(2, 1), (101, 3), (500, 300)])
+def test_gaussian_equals_the_former_two_block_draw(n_samples, n_features):
+    rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
+    ds = two_class_gaussian(n_samples, n_features, 2.5, rng)
+    x, y = former_two_class_gaussian(n_samples, n_features, 2.5, ref_rng)
+    assert ds.x.tobytes() == x.tobytes()
+    assert ds.y.tolist() == y.tolist()
+    # the data substream keeps drawing after the sets, so its state must match
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_gaussian_holds_at_most_two_copies_of_the_set():
+    rng = np.random.default_rng(4)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        ds = two_class_gaussian(2000, 300, 3.0, rng)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the draw and its shuffled copy, then Dataset's own copy of the latter
+    assert peak < 2.5 * ds.x.nbytes
 
 
 def test_gaussian_zero_separation_mixes_classes():

@@ -2,6 +2,6 @@
 
 from .domain import DEFAULT_PARAMS, SystemParams
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = ["DEFAULT_PARAMS", "SystemParams", "__version__"]

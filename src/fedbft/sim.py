@@ -1,15 +1,15 @@
 """Seeded simulation of the batching and consensus pipeline.
 
 Transactions arrive at the leader with exponential gaps and are served FIFO
-at an exponential rate.  One kernel, ``_serve``, computes the departures of
-a (rows, n) matrix of streams at once with Lindley's recurrence
-D_i = max(A_i, D_{i-1}) + S_i, written as a running maximum over the
-cumulative service along each row, and applies the seal rule row by row: a
-block closes at the earlier of n_block served transactions or tau after the
-cycle's first arrival, never before the first completion, and a stream that
-runs out first flushes what has been served.  The voting round is timed at
-an honest peer as the sum of its vote gaps and message processing draws
-(``_phase_sums``).
+at an exponential rate.  One kernel, ``_Queue``, computes the departures of
+many streams at once with Lindley's recurrence D_i = max(A_i, D_{i-1}) +
+S_i, written as a running maximum over the cumulative service, one block of
+transactions at a time with the scans carried across blocks, and applies the
+seal rule stream by stream: a block closes at the earlier of n_block served
+transactions or tau after the cycle's first arrival, never before the first
+completion, and a stream that runs out first flushes what has been served.
+The voting round is timed at an honest peer as the sum of its vote gaps and
+message processing draws (``_phase_sums``).
 
 ``run_cycle`` drives one training cycle through that pipeline, one stream
 at a time: ``run_leader_batching`` gives the block's size and sojourn
@@ -19,7 +19,8 @@ pipeline and sets the measured delays beside ``latency.t_total`` at each
 realized b, and ``run_sweep`` does so at each point of a parameter grid.
 Each replication starts the queue in its exact stationary state, so its
 block begins at its first arrival, and each chunk of 256 replications
-reads one pair of streams; README "Determinism" sets out that contract.
+reads one pair of streams transaction by transaction, stopping where no
+timeout can reach; README "Determinism" sets out that contract.
 """
 from __future__ import annotations
 
@@ -80,40 +81,68 @@ def sample_exponential(rate: float, rng: np.random.Generator, size=None,
     return np.divide(np.log1p(np.negative(u, out=out), out=out), -rate, out=out)
 
 
-def _serve(p: SystemParams, arrivals: np.ndarray, services: np.ndarray,
-           C=None, D=None):
+class _Queue:
     """FIFO departures and the seal rule: the simulator's one queue kernel.
 
-    Each row of the (rows, n) ``arrivals`` and ``services`` is one stream.
-    D_i = max(A_i, D_{i-1}) + S_i is evaluated along each row as C_i +
-    max_{j<=i}(A_j - C_j + S_j), with C the cumulative service time.  A
-    row's block seals at its n_block-th departure if that comes no later
-    than tau after its first arrival; otherwise at that timeout with the
-    transactions served by then, or at the first departure if none was;
-    with no timeout, a stream too short to fill it seals at its last
-    departure.  Returns per-row b, seal time and timeout flag, and the
-    (rows, n) departures.  ``C`` and ``D``, (rows, n) float64 buffers,
-    receive the cumulative service and the departures if given.
+    It serves many streams at once, one block of transactions at a time.
+    ``buf`` is a (5, 1 + width, streams) float64 buffer of arrival times A,
+    service times S, cumulative service C, departures D and sojourns, and
+    row k of each holds the k-th transaction of every stream, so a block's
+    rows are contiguous.  D_i = max(A_i, D_{i-1}) + S_i is evaluated as
+    C_i + max_{j<=i}(A_j - C_j + S_j).  Row 0 carries the state at the last
+    transaction served: the last arrival, the cumulative service, the
+    running maximum and the sojourn total of the block so far, so every
+    scan continues exactly as over one whole stream.  A stream's block
+    seals at its n_block-th departure if that comes no later than tau
+    after its first arrival; otherwise at that timeout, holding the
+    transactions served by then, or the first one if none was.  Callers
+    serve at most n_block transactions, so with no timeout a stream too
+    short to fill a block flushes all of them.
     """
-    C = np.cumsum(services, axis=1, out=C)
-    D = np.subtract(arrivals, C, out=D)
-    D += services
-    np.maximum.accumulate(D, axis=1, out=D)
-    D += C
-    timeout_at = arrivals[:, 0] + p.tau
-    finite = np.isfinite(timeout_at)
-    # departures never decrease along a row, so this is a searchsorted
-    served = (D <= timeout_at[:, None]).sum(axis=1)
-    if D.shape[1] >= p.n_block:
-        filled_at = D[:, p.n_block - 1]
-        full = filled_at <= timeout_at
-    else:
-        filled_at, full = timeout_at, np.zeros(finite.shape, dtype=bool)
-    b = np.where(full, p.n_block,
-                 np.where(finite, np.maximum(served, 1), D.shape[1]))
-    seal_time = np.where(full, filled_at, np.where(
-        finite, np.where(served > 0, timeout_at, D[:, 0]), D[:, -1]))
-    return b, seal_time, ~full & finite, D
+
+    def __init__(self, p: SystemParams, buf: np.ndarray):
+        self.p, self.buf = p, buf
+        buf[:, 0] = 0.0
+        buf[3, 0] = -math.inf
+        self.timeout_at = None
+        # the block size so far of each stream
+        self.b = np.zeros(buf.shape[2], dtype=np.intp)
+
+    def columns(self, w: int) -> tuple[np.ndarray, np.ndarray]:
+        """The (w, streams) rows for the next block's gaps and services."""
+        return self.buf[0, 1:w + 1], self.buf[1, 1:w + 1]
+
+    def serve(self, w: int) -> bool:
+        """Serve the w transactions filled in through ``columns``; return
+        whether every stream's last arrival is past its timeout, after which
+        no later transaction can join a block."""
+        A, S, C, D, T = self.buf[:, :w + 1]
+        np.cumsum(A, axis=0, out=A)
+        np.cumsum(S, axis=0, out=C)
+        np.subtract(A[1:], C[1:], out=D[1:])
+        D[1:] += S[1:]
+        np.maximum.accumulate(D, axis=0, out=D)
+        D[0] = D[w]  # the running maximum, carried before C turns it into D
+        D[1:] += C[1:]
+        first = self.timeout_at is None
+        if first:
+            self.timeout_at = A[1] + self.p.tau
+        # departures never decrease along a stream, so the served ones
+        # lead; a block holds its first transaction even when that departs
+        # after the timeout
+        served = D[1:] <= self.timeout_at
+        served[0] |= first
+        self.b += served.sum(axis=0)
+        np.subtract(D[1:], A[1:], out=T[1:])
+        T[1:] *= served
+        # each block's sojourns, summed in arrival order
+        np.cumsum(T, axis=0, out=T)
+        A[0], S[0], T[0] = A[w], C[w], T[w]
+        return bool((A[0] > self.timeout_at).all())
+
+    @property
+    def sojourn_total(self) -> np.ndarray:
+        return self.buf[4, 0]
 
 
 def run_leader_batching(p: SystemParams, n: int,
@@ -121,17 +150,20 @@ def run_leader_batching(p: SystemParams, n: int,
     """Serve n transactions FIFO at rate mu and seal one block.
 
     Draws n Poisson(lambda) arrival gaps from ``streams.arrivals`` and n
-    Exp(mu) services from ``streams.services``, then applies ``_serve``'s
+    Exp(mu) services from ``streams.services``, then applies ``_Queue``'s
     seal rule.  Returns the block's size b and its sojourn total, the sum
     of departure minus arrival over its b transactions.
     """
     if n < 1:
         raise ValueError("no arrivals to batch")
-    arrivals = np.cumsum(sample_exponential(p.lam, streams.arrivals, n))
-    b, _, _, D = _serve(p, arrivals[None],
-                        sample_exponential(p.mu, streams.services, n)[None])
-    b = int(b[0])
-    return b, float((D[0] - arrivals)[:b].sum())
+    queue = _Queue(p, np.empty((5, n + 1, 1)))
+    gaps, services = queue.columns(n)
+    sample_exponential(p.lam, streams.arrivals, out=gaps)
+    sample_exponential(p.mu, streams.services, out=services)
+    queue.serve(min(n, p.n_block))
+    b = int(queue.b[0])
+    arrivals, _, _, departures, _ = queue.buf[:, 1:b + 1, 0]
+    return b, float((departures - arrivals).sum())
 
 
 def _phase_sums(p: SystemParams, gaps: np.ndarray, procs: np.ndarray):
@@ -316,8 +348,8 @@ def audit_block(
 
 
 # replications per seeded chunk, a constant of the stream contract, and
-# drawn elements per ``_serve`` call, which the output ignores: enough for
-# a whole chunk at the default shape, so it takes one call
+# drawn elements per block of transactions, which the output ignores: 128
+# transactions of a chunk's 256 streams
 _CHUNK_REPS = 256
 _CHUNK_ELEMENTS = 1 << 15
 MAX_REPS = 1_000_000
@@ -325,8 +357,18 @@ MAX_DRAWS = 1 << 30
 
 
 def _row_width(p: SystemParams) -> int:
-    """Draws of one replication, over both streams."""
-    return p.n_block + 4 * p.f + 2 * (2 * p.f + 1) + 1
+    """Draws of one replication, over both streams: n_block gaps and 4f vote
+    gaps, then an initial wait, n_block services and 2(2f+1) processing
+    draws."""
+    return 2 * p.n_block + 4 * p.f + 2 * (2 * p.f + 1) + 1
+
+
+def _first_width(p: SystemParams) -> int:
+    """Transactions a chunk draws first: lambda tau + 4 sqrt(lambda tau) +
+    8, which covered every chunk's reach in 2 000 sampled chunks at
+    lambda tau from 1 to 20, and all n_block with no timeout."""
+    reach = p.lam * p.tau
+    return int(min(p.n_block, reach + 4 * math.sqrt(reach) + 8))
 
 
 def _initial_wait(p: SystemParams, e: np.ndarray) -> np.ndarray:
@@ -335,81 +377,75 @@ def _initial_wait(p: SystemParams, e: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, (math.log(p.lam / p.mu) + p.mu * e) / (p.mu - p.lam))
 
 
-def _leading(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """The first rows * cols elements of flat ``buf`` as a (rows, cols) view."""
-    return buf[:rows * cols].reshape(rows, cols)
-
-
 def _replication_draws(p: SystemParams, replications: int,
                        master_seed) -> np.ndarray:
     """(replications, 4) rows of (b, preprepare, prepare, commit).
 
-    Replications c*R .. c*R + R - 1 (R = ``_CHUNK_REPS``) draw in turn from
-    ``RandomStreams.for_replication(master_seed, c)``: n_block gaps then 4f
-    vote gaps, and n_block services, 2(2f+1) processing draws and an
-    initial wait that joins the first service.  Every draw is made, but
-    ``_serve`` gets only the leading columns that some row's timeout can
-    reach: an arrival after every row's timeout is never served by it.
+    Replications c*R .. c*R + R - 1 (R = ``_CHUNK_REPS``) are the columns
+    of chunk c, which reads ``RandomStreams.for_replication(master_seed,
+    c)`` one transaction at a time: R initial waits from the services
+    stream, then for each of the n_block transactions R gaps and R
+    services, then 4f rows of R vote gaps and 2(2f+1) rows of R processing
+    draws.  A short last chunk draws all R columns.  Transactions are drawn
+    and served in blocks that double from ``_first_width``, within
+    ``_CHUNK_ELEMENTS``; once every column's last arrival is past its
+    timeout, each stream skips the rest of its transactions with one
+    ``advance``, which leaves it where drawing them would.
     """
-    n = p.n_block
-    step = max(1, _CHUNK_ELEMENTS // _row_width(p))
+    n, R = p.n_block, _CHUNK_REPS
+    cap = max(1, _CHUNK_ELEMENTS // R)
     draws = np.empty((replications, 4))
-    # one set of buffers for the run; a short last call uses leading rows,
-    # and the queue's are flat so that a call's leading columns are
-    # contiguous too
-    most = min(step, _CHUNK_REPS, replications)
-    gap_buf = np.empty((most, n + 4 * p.f))
-    service_buf = np.empty((most, n + 2 * (2 * p.f + 1) + 1))
-    arrival_buf = np.empty((most, n))
-    cum_buf = np.empty(most * n)
-    departure_buf = np.empty(most * n)
-    sum_buf = np.empty(most * p.n_block)
-    for first in range(0, replications, _CHUNK_REPS):
-        streams = RandomStreams.for_replication(master_seed,
-                                                first // _CHUNK_REPS)
-        last = min(first + _CHUNK_REPS, replications)
-        for lo in range(first, last, step):
-            rows = min(step, last - lo)
-            out = draws[lo:lo + rows]
-            gaps = sample_exponential(p.lam, streams.arrivals,
-                                      out=gap_buf[:rows])
-            services = sample_exponential(p.mu, streams.services,
-                                          out=service_buf[:rows])
-            services[:, 0] += _initial_wait(p, services[:, -1])
-            arrivals = np.cumsum(gaps[:, :n], axis=1, out=arrival_buf[:rows])
-            # arrivals rise along a row, so their column minimum does too;
-            # a departure never precedes its arrival, so no row serves a
-            # column past ``reach`` by its timeout, nor fills its block
-            reach = int(np.searchsorted(arrivals.min(axis=0),
-                                        (arrivals[:, 0] + p.tau).max(),
-                                        "right"))
-            arrivals = arrivals[:, :reach]
-            b, _, _, D = _serve(p, arrivals, services[:, :reach],
-                                _leading(cum_buf, rows, reach),
-                                _leading(departure_buf, rows, reach))
-            # each block's sojourns, summed in arrival order
-            sums = np.subtract(D, arrivals, out=_leading(sum_buf, rows, reach))
-            np.cumsum(sums, axis=1, out=sums)
-            out[:, 0] = b
-            out[:, 1] = sums[np.arange(rows), b - 1]
-            out[:, 2], out[:, 3] = _phase_sums(p, gaps[:, n:],
-                                               services[:, n:-1])
+    buf = np.empty((5, min(n, cap) + 1, R))
+    waits = np.empty(R)
+    votes = np.empty((4 * p.f, R))
+    procs = np.empty((2 * (2 * p.f + 1), R))
+    for first in range(0, replications, R):
+        streams = RandomStreams.for_replication(master_seed, first // R)
+        initial = _initial_wait(p, sample_exponential(p.mu, streams.services,
+                                                      out=waits))
+        queue = _Queue(p, buf)
+        done, w = 0, _first_width(p)
+        while done < n:
+            w = min(w, cap, n - done)
+            gaps, services = queue.columns(w)
+            sample_exponential(p.lam, streams.arrivals, out=gaps)
+            sample_exponential(p.mu, streams.services, out=services)
+            if not done:
+                services[0] += initial
+            done += w
+            if queue.serve(w):
+                break
+            w *= 2
+        streams.arrivals.bit_generator.advance((n - done) * R)
+        streams.services.bit_generator.advance((n - done) * R)
+        prepare, commit = _phase_sums(
+            p, sample_exponential(p.lam, streams.arrivals, out=votes).T,
+            sample_exponential(p.mu, streams.services, out=procs).T)
+        rows = min(R, replications - first)
+        out = draws[first:first + rows]
+        out[:, 0] = queue.b[:rows]
+        out[:, 1] = queue.sojourn_total[:rows]
+        out[:, 2] = prepare[:rows]
+        out[:, 3] = commit[:rows]
     return draws
 
 
 def _check_experiment(p: SystemParams, replications: int,
                       n_samples: int) -> None:
-    """Reject a bad replication count, a run that would draw more than
+    """Reject a bad replication count, a run that could draw more than
     ``MAX_DRAWS`` values, or a bad n_samples or non-finite model, before
     anything is drawn."""
     if replications < 1:
         raise ValueError("replications must be >= 1")
     if replications > MAX_REPS:
         raise ValueError(f"replications must be <= {MAX_REPS}")
+    # every chunk draws all of its replications
+    drawn = -(-replications // _CHUNK_REPS) * _CHUNK_REPS
     width = _row_width(p)
-    if replications * width > MAX_DRAWS:
+    if drawn * width > MAX_DRAWS:
         raise ValueError(f"replications x draws per replication must be <= "
-                         f"{MAX_DRAWS}, got {replications} x {width}")
+                         f"{MAX_DRAWS}, got {drawn} x {width}; a run draws "
+                         f"whole chunks of {_CHUNK_REPS} replications")
     # no b up to n_block predicts more than b = n_block
     latency.t_total(p, n_samples, p.n_block)
 

@@ -408,7 +408,7 @@ def test_fl_run_rejects_non_integer_adversary_ids(capsys):
     (["--reps", "1000000000000000"], "replications must be <= 1000000"),
     (["--reps", "1000000", "--config", "{max_n_block}"],
      "replications x draws per replication must be <= 1073741824, "
-     "got 1000000 x 1000011"),
+     "got 1000192 x 2000011; a run draws whole chunks of 256 replications"),
 ])
 def test_simulate_caps_reps_and_draws(flags, message, tmp_path, capsys):
     cfg = tmp_path / "max_n_block.cfg"
@@ -432,7 +432,8 @@ def test_sweep_checks_every_point_before_the_first_runs(tmp_path, capsys,
     assert code == 1
     assert out == ""
     assert err == ("error: replications x draws per replication must be <= "
-                   "1073741824, got 2000 x 1000011\n")
+                   "1073741824, got 2048 x 2000011; a run draws whole chunks "
+                   "of 256 replications\n")
     # the second point, n_block = 1000, overflows t_dn = (h + b delta_m)/C
     cfg = tmp_path / "big_model.cfg"
     cfg.write_text("delta_m=1e306\n")
@@ -666,7 +667,7 @@ def test_bad_n_samples_fails_before_any_replication(command, capsys,
                                                     monkeypatch):
     def no_replication(*args, **kwargs):
         raise AssertionError("a replication ran before n_samples was checked")
-    monkeypatch.setattr(sim, "_serve", no_replication)
+    monkeypatch.setattr(sim, "_replication_draws", no_replication)
     code, out, err = run_cli([*command, "--n-samples", "0"], capsys)
     assert code == 1
     assert out == ""

@@ -9,10 +9,10 @@ and of the one-gemv dataset gradient, on numpy's BLAS kernels: the fl-run
 rounding contract README "Determinism" sets out.  The blocked pass of
 version 0.5.0 moved the acceptance-5 CSV, in the 12th digit of some
 cells, and the digest chain; the fl-adversary CSV kept every byte.  The
-simulate and sweep CSVs were written when the simulator moved to a
-stationary start and per-chunk seeding, the stream contract README
-"Determinism" also sets out.  A faster or smaller implementation must
-leave every byte unchanged.
+simulate and sweep CSVs pin the stream contract README "Determinism" also
+sets out: a stationary start and per-chunk seeding, with each chunk drawn
+column-major since version 0.7.0, which rewrote them once.  A faster or
+smaller implementation must leave every byte unchanged.
 """
 import hashlib
 from pathlib import Path

@@ -1,5 +1,6 @@
 """Random draws, leader batching, voting rounds, and the replication harness."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,74 +60,85 @@ def full_params(**kw):
     return SystemParams(**defaults)
 
 
-def arrivals_from(lam, n, seed):
-    """The first n arrival times of a rate-lam Poisson stream."""
-    return np.cumsum(sample_exponential(lam, np.random.default_rng(seed), n))
+def gaps_from(lam, n, seed):
+    """The first n interarrival gaps of a rate-lam Poisson stream."""
+    return sample_exponential(lam, np.random.default_rng(seed), n)
 
 
-def serve_one(p, arr, seed):
+def queue_rows(p, gaps, services):
+    """(rows, n) streams through the queue kernel as one block: per-row b
+    and sojourn total, and the (rows, m) arrivals and departures of the
+    first m = min(n, n_block) transactions, the ones the kernel serves."""
+    rows, n = gaps.shape
+    m = min(n, p.n_block)
+    queue = sim._Queue(p, np.empty((5, m + 1, rows)))
+    for column_block, values in zip(queue.columns(m), (gaps, services)):
+        column_block[...] = values[:, :m].T
+    queue.serve(m)
+    return queue.b, queue.sojourn_total, queue.buf[0, 1:].T, queue.buf[3, 1:].T
+
+
+def serve_one(p, gaps, seed):
     """One stream through the queue kernel, services drawn from ``seed``:
-    b, seal time, timeout flag and departures."""
-    services = sample_exponential(p.mu, np.random.default_rng(seed), arr.size)
-    b, seal_time, timed_out, D = sim._serve(p, arr[None], services[None])
-    return int(b[0]), float(seal_time[0]), bool(timed_out[0]), D[0]
+    b, sojourn total, and the arrivals and departures it serves."""
+    services = sample_exponential(p.mu, np.random.default_rng(seed), gaps.size)
+    b, total, arrivals, D = queue_rows(p, gaps[None], services[None])
+    return int(b[0]), float(total[0]), arrivals[0], D[0]
 
 
 def test_batching_seals_on_size():
     p = full_params(tau=1e6)
-    arr = arrivals_from(p.lam, 30, 3)
-    b, _, timed_out, D = serve_one(p, arr, 4)
+    b, total, arr, D = serve_one(p, gaps_from(p.lam, 30, 3), 4)
     assert b == 20
-    assert not timed_out
-    assert D.shape == (30,)
+    assert D.shape == (20,)
+    assert D[-1] <= arr[0] + p.tau
     assert np.all(D - arr > 0)
+    assert total == pytest.approx((D - arr).sum(), rel=1e-12)
 
 
 def test_batching_seals_on_timeout():
     p = full_params(tau=0.02)  # far less than 20 expected interarrivals
-    arr = arrivals_from(p.lam, 30, 5)
-    b, seal_time, timed_out, _ = serve_one(p, arr, 6)
-    assert timed_out
+    b, total, arr, D = serve_one(p, gaps_from(p.lam, 30, 5), 6)
     assert 1 <= b < 20
-    # sealed at a completion no earlier than the timeout itself
-    assert seal_time >= arr[0] + p.tau - 1e-12
+    # the block holds exactly the transactions served by the timeout
+    assert D[b - 1] <= arr[0] + p.tau < D[b]
+    assert total == pytest.approx((D - arr)[:b].sum(), rel=1e-12)
 
 
 def test_batching_timeout_waits_for_first_completion():
     # timeout so small it always beats the first service completion
     p = full_params(tau=1e-9)
-    b, _, timed_out, _ = serve_one(p, arrivals_from(p.lam, 5, 7), 8)
+    b, total, arr, D = serve_one(p, gaps_from(p.lam, 5, 7), 8)
     assert b == 1
-    assert timed_out
+    assert D[0] > arr[0] + p.tau
+    assert total == D[0] - arr[0]
 
 
 def test_batching_timeout_after_one_completion_seals_at_the_timeout():
-    arr = arrivals_from(100.0, 5, 7)
-    departures = serve_one(full_params(tau=math.inf), arr, 8)[3]
+    gaps = gaps_from(100.0, 5, 7)
+    _, _, arr, departures = serve_one(full_params(tau=math.inf), gaps, 8)
     p = full_params(tau=(departures[0] + departures[1]) / 2 - arr[0])
-    b, seal_time, timed_out, _ = serve_one(p, arr, 8)
+    b, total, _, _ = serve_one(p, gaps, 8)
     assert b == 1
-    assert timed_out
-    assert seal_time == arr[0] + p.tau
+    assert total == departures[0] - arr[0]
 
 
 def test_batching_short_stream_waits_out_finite_tau():
-    # with fewer arrivals than n_block the leader keeps waiting until tau
+    # with fewer arrivals than n_block the leader keeps waiting until tau,
+    # and every arrival is served by then
     p = full_params(n_block=100, tau=1e6)
-    arr = arrivals_from(p.lam, 7, 9)
-    b, seal_time, timed_out, _ = serve_one(p, arr, 10)
+    b, total, arr, D = serve_one(p, gaps_from(p.lam, 7, 9), 10)
     assert b == 7
-    assert timed_out
-    assert seal_time == pytest.approx(arr[0] + p.tau)
+    assert D[-1] < arr[0] + p.tau
+    assert total == pytest.approx((D - arr).sum(), rel=1e-12)
 
 
 def test_batching_flushes_exhausted_stream_without_timeout():
-    # no timeout at all: the flush seals at the last departure
+    # no timeout at all: the flush holds every served transaction
     p = full_params(n_block=100, tau=float("inf"))
-    b, seal_time, timed_out, D = serve_one(p, arrivals_from(p.lam, 7, 9), 10)
+    b, total, arr, D = serve_one(p, gaps_from(p.lam, 7, 9), 10)
     assert b == 7
-    assert not timed_out
-    assert seal_time == pytest.approx(D.max())
+    assert total == pytest.approx((D - arr).sum(), rel=1e-12)
 
 
 def test_batching_matches_fifo_recurrence():
@@ -137,14 +149,15 @@ def test_batching_matches_fifo_recurrence():
     streams = RandomStreams.from_seed(11)
     b, sojourn_total = run_leader_batching(p, 50, streams)
     twin = RandomStreams.from_seed(11)
-    arr = np.cumsum(sample_exponential(p.lam, twin.arrivals, 50))
+    gaps = sample_exponential(p.lam, twin.arrivals, 50)
     services = sample_exponential(p.mu, twin.services, 50)
+    arr = np.cumsum(gaps)
     d = 0.0
     expected = np.empty(50)
     for i in range(50):
         d = max(arr[i], d) + services[i]
         expected[i] = d
-    D = sim._serve(p, arr[None], services[None])[3][0]
+    D = queue_rows(p, gaps[None], services[None])[3][0]
     np.testing.assert_allclose(D, expected, rtol=1e-12)
     assert b == 50
     assert sojourn_total == pytest.approx((expected - arr).sum(), rel=1e-12)
@@ -200,47 +213,70 @@ def test_pbft_phase_mean_tracks_formula():
 
 # --- replication path vs a one-replication-at-a-time reference ---
 
+def whole_row(p, arrivals, services):
+    """b and departures of one whole stream, with the kernel's formula
+    D_i = C_i + max_{j<=i}(A_j - C_j + S_j) and seal rule."""
+    C = np.cumsum(services)
+    D = np.maximum.accumulate(arrivals - C + services) + C
+    timeout_at = arrivals[0] + p.tau
+    if D.size >= p.n_block and D[p.n_block - 1] <= timeout_at:
+        return p.n_block, D
+    if math.isinf(timeout_at):
+        return D.size, D
+    return max(int((D <= timeout_at).sum()), 1), D
+
+
+def in_order(values):
+    """The sum of ``values`` added one at a time, first to last."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def reference_draws(p, replications, key):
     """(b, preprepare, prepare, commit) of each replication, one at a time.
 
-    Replications c*R .. c*R + R - 1 read chunk c's streams in turn.  Each
-    draws n_block gaps then 4f vote gaps from the arrivals stream, and
-    n_block services, 2(2f+1) processing draws and the initial-wait draw
-    from the services stream.  The stationary initial wait is added to the
-    first service.
+    Replications c*R .. c*R + R - 1 are the columns of chunk c, whose
+    streams give an (n_block + 4f, R) matrix of gaps then vote gaps and a
+    (1 + n_block + 2(2f+1), R) matrix of initial-wait draws, services and
+    processing draws, each drawn whole in row-major order.  Replication r
+    reads column r; its stationary initial wait is added to its first
+    service.
     """
-    n = p.n_block
+    n, R = p.n_block, sim._CHUNK_REPS
     rows = []
     for rep in range(replications):
-        if rep % sim._CHUNK_REPS == 0:
-            streams = RandomStreams.for_replication(key, rep // sim._CHUNK_REPS)
-        gaps = sample_exponential(p.lam, streams.arrivals, n + 4 * p.f)
-        services = sample_exponential(p.mu, streams.services,
-                                      n + 2 * (2 * p.f + 1) + 1)
-        e = services[-1]
+        r = rep % R
+        if r == 0:
+            streams = RandomStreams.for_replication(key, rep // R)
+            arrivals_rows = sample_exponential(p.lam, streams.arrivals,
+                                               (n + 4 * p.f, R))
+            services_rows = sample_exponential(
+                p.mu, streams.services, (1 + n + 2 * (2 * p.f + 1), R))
+        gaps, votes = arrivals_rows[:n, r], arrivals_rows[n:, r]
+        e, services = services_rows[0, r], services_rows[1:n + 1, r].copy()
+        procs = services_rows[n + 1:, r]
         services[0] += max(0.0, (math.log(p.lam / p.mu) + p.mu * e)
                            / (p.mu - p.lam))
-        arrivals = np.cumsum(gaps[:n])
-        b, _, _, D = sim._serve(p, arrivals[None], services[None, :n])
-        b = int(b[0])
-        preprepare = 0.0
-        for tx in range(b):
-            preprepare += D[0, tx] - arrivals[tx]
-        prepare, commit = sim._phase_sums(p, gaps[None, n:],
-                                          services[None, n:-1])
-        rows.append((b, preprepare, prepare[0], commit[0]))
+        arrivals = np.cumsum(gaps)
+        b, D = whole_row(p, arrivals, services)
+        twof = 2 * p.f
+        rows.append((b, in_order(D[:b] - arrivals[:b]),
+                     in_order(votes[:twof]) + in_order(procs[:twof + 1]),
+                     in_order(votes[twof:]) + in_order(procs[twof + 1:])))
     return np.array(rows)
 
 
 @pytest.mark.parametrize("wider", [0, 3, 50, 1000])
 @pytest.mark.parametrize("tau", [10.0, 1.0, 0.2, 0.005, 1e-9, math.inf])
 def test_fast_replication_equals_event_driven(wider, tau):
-    # the batched replication path draws, bit for bit, what one replication
-    # at a time draws from its chunk's streams, across a chunk boundary; at
-    # 1e-9 every block seals at its first departure, and at 1.0, about
-    # n_block / lambda at the default n_block of 100, full and timed-out
-    # rows share one kernel call.  Blocks ``wider`` than 100 make wider
-    # rows; at 1100 a chunk takes several kernel calls
+    # the chunked replication path draws, bit for bit, what one replication
+    # at a time reads from its column of its chunk's streams, across a
+    # chunk boundary; at 1e-9 every block seals at its first departure,
+    # and at 1.0, about n_block / lambda at the default n_block of 100,
+    # full and timed-out rows share one block.  Blocks ``wider`` than 100
+    # make wider rows; at 1100 with no timeout a chunk serves nine blocks
     reps = sim._CHUNK_REPS + 2
     for f, key in ((0, 3), (1, (42, 7)), (3, 11), (5, (0, 2))):
         p = SystemParams(tau=tau, f=f, n_peers=3 * f + 1,
@@ -249,40 +285,83 @@ def test_fast_replication_equals_event_driven(wider, tau):
                                       reference_draws(p, reps, key))
 
 
+@pytest.mark.parametrize("n_block", [1, 7, 100, 300])
+@pytest.mark.parametrize("tau", [1e-9, 0.005, 0.05, 0.2, 1.0, 10.0, math.inf])
+def test_block_kernel_equals_whole_row_reference(n_block, tau):
+    # the kernel fed in blocks of 1, 3 and 64 transactions with carried
+    # state gives each stream's whole-row b and its sojourn total, summed
+    # in arrival order, bit for bit
+    p = SystemParams(tau=tau, n_block=n_block)
+    rng = np.random.default_rng(n_block)
+    for streams in (1, 7, 256):
+        gaps = sample_exponential(p.lam, rng, (n_block, streams))
+        services = sample_exponential(p.mu, rng, (n_block, streams))
+        for width in (1, 3, 64):
+            queue = sim._Queue(p, np.empty((5, width + 1, streams)))
+            for lo in range(0, n_block, width):
+                w = min(width, n_block - lo)
+                for column_block, values in zip(queue.columns(w),
+                                                (gaps, services)):
+                    column_block[...] = values[lo:lo + w]
+                queue.serve(w)
+            for r in range(streams):
+                arrivals = np.cumsum(gaps[:, r])
+                b, D = whole_row(p, arrivals, services[:, r])
+                assert queue.b[r] == b
+                assert queue.sojourn_total[r] == in_order(D[:b]
+                                                          - arrivals[:b])
+
+
 @pytest.mark.parametrize("reps, rows", [
     (1, 1), (1, 7), (1, 2), (7, 1), (7, 7), (7, 8), (1024, 1), (1024, 7),
     (1024, 1025)])
 def test_experiment_does_not_depend_on_block_or_chunk_size(monkeypatch, reps,
                                                            rows):
-    # rows per queue-kernel call is outside the stream contract
+    # transactions per kernel block are outside the stream contract: these
+    # caps give blocks of 1 to 844 transactions
     p = SystemParams(tau=0.2)
     expected = run_experiment(p, reps, 5)
     monkeypatch.setattr(sim, "_CHUNK_ELEMENTS", rows * sim._row_width(p))
     assert run_experiment(p, reps, 5) == expected
 
 
-@pytest.mark.parametrize("tau", [0.2, math.inf])
-def test_queue_kernel_gets_only_the_columns_a_timeout_can_reach(monkeypatch,
-                                                                tau):
-    # one call per chunk of 256 at the default shape; at tau 0.2 no row's
-    # timeout reaches the last of the n_block arrivals, so the kernel gets
-    # fewer columns, and with no timeout it gets all of them
+@pytest.mark.parametrize("tau", [0.02, 0.2, math.inf])
+@pytest.mark.parametrize("first, cap", [(1, 1), (1, 100), (100, 1),
+                                        (100, 100)])
+def test_results_do_not_depend_on_first_width_or_block_cap(monkeypatch, tau,
+                                                           first, cap):
+    # the first block's width and the block cap are work-only: from one
+    # transaction per block to the whole n_block of 100 in one
     p = SystemParams(tau=tau)
-    serve = sim._serve
-    widths = []
+    expected = _replication_draws(p, 300, 8)
+    monkeypatch.setattr(sim, "_first_width", lambda p: first)
+    monkeypatch.setattr(sim, "_CHUNK_ELEMENTS", cap * sim._CHUNK_REPS)
+    np.testing.assert_array_equal(_replication_draws(p, 300, 8), expected)
 
-    def spy(p, arrivals, services, C=None, D=None):
-        widths.append(arrivals.shape[1])
-        assert services.shape == C.shape == D.shape == arrivals.shape
-        return serve(p, arrivals, services, C, D)
 
-    monkeypatch.setattr(sim, "_serve", spy)
-    _replication_draws(p, 10_000, 42)
-    assert len(widths) == 40
-    if math.isinf(tau):
-        assert widths == [p.n_block] * 40
-    else:
-        assert max(widths) < p.n_block
+def test_a_huge_block_draws_only_what_its_timeout_reaches(monkeypatch):
+    # n_block 10^6 at tau 1: about 100 arrivals fall within a row's
+    # timeout, so a chunk draws a few hundred of its 10^6 transactions and
+    # holds a block of at most 128 in memory
+    p = SystemParams(n_block=1_000_000, tau=1.0)
+    drawn = []
+
+    def counted(*args, **kwargs):
+        values = sample_exponential(*args, **kwargs)
+        drawn.append(values.size)
+        return values
+
+    monkeypatch.setattr(sim, "sample_exponential", counted)
+    tracemalloc.start()
+    try:
+        b, preprepare, _, _ = _replication_draws(p, 1, 4)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+    assert sum(drawn) < 2 * 1000 * sim._CHUNK_REPS
+    assert 50 < b < 200
+    assert preprepare > 0
 
 
 def test_a_longer_run_extends_a_shorter_one():
@@ -340,9 +419,9 @@ def empty_start_preprepare(p, replications, warmup, rng):
     whole_row = replace(p, n_block=n, tau=math.inf)
     totals = []
     for _ in range(replications // 1000):
-        arrivals = np.cumsum(sample_exponential(p.lam, rng, (1000, n)), axis=1)
+        gaps = sample_exponential(p.lam, rng, (1000, n))
         services = sample_exponential(p.mu, rng, (1000, n))
-        b, _, _, D = sim._serve(whole_row, arrivals, services)
+        b, _, arrivals, D = queue_rows(whole_row, gaps, services)
         assert (b == n).all()
         totals.append((D - arrivals)[:, warmup:].sum(axis=1))
     return np.concatenate(totals)
@@ -540,7 +619,8 @@ def test_experiment_is_deterministic_in_the_seed():
 @pytest.mark.parametrize("reps, n_block, message", [
     (10**15, 100, "replications must be <= 1000000"),
     (10**6, 10**6, "replications x draws per replication must be <= "
-                   "1073741824, got 1000000 x 1000011"),
+                   "1073741824, got 1000192 x 2000011; a run draws whole "
+                   "chunks of 256 replications"),
 ])
 def test_experiment_caps_reps_and_draws_before_allocating(reps, n_block,
                                                          message):
@@ -552,3 +632,15 @@ def test_experiment_caps_reps_and_draws_before_allocating(reps, n_block,
 def test_experiment_converges_toward_formula():
     stats = run_experiment(SystemParams(), 2000, 0)
     assert stats.rel_error["t_consensus"] < 0.02
+
+
+def test_preprepare_model_overstates_short_timeout_blocks():
+    # a documented property of the paper's formula, not an acceptance
+    # bound: at tau 0.01 most blocks hold one or two transactions, and a
+    # timed-out block keeps only what was served by A_1 + tau, so its last
+    # sojourns are cut short; b / (mu - lambda) reads 12-14 % above the
+    # simulated sojourn total at seeds 0-5 (README "Studies")
+    stats = run_experiment(SystemParams(tau=0.01), 20_000, 0)
+    mean, model = stats.mean["t_preprepare"], stats.analytic["t_preprepare"]
+    assert -0.17 < (mean - model) / model < -0.10
+    assert model - mean > 10 * stats.std_err["t_preprepare"]

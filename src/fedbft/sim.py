@@ -4,10 +4,12 @@ Transactions arrive at the leader with exponential gaps and are served FIFO
 at an exponential rate.  One kernel, ``_Queue``, computes the departures of
 many streams at once with Lindley's recurrence D_i = max(A_i, D_{i-1}) +
 S_i, written as a running maximum over the cumulative service, one block of
-transactions at a time with the scans carried across blocks, and applies the
-seal rule stream by stream: a block closes at the earlier of n_block served
-transactions or tau after the cycle's first arrival, never before the first
-completion, and a stream that runs out first flushes what has been served.
+transactions at a time.  Its scans run row by row, each call covering one
+transaction of every stream, and carry their state across blocks in row 0
+of the kernel's buffer.  It applies the seal rule stream by stream: a block
+closes at the earlier of n_block served transactions or tau after the
+cycle's first arrival, never before the first completion, and a stream that
+runs out first flushes what has been served.
 The voting round is timed at an honest peer as the sum of its vote gaps and
 message processing draws (``_phase_sums``).
 
@@ -25,6 +27,7 @@ timeout can reach; README "Determinism" sets out that contract.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -47,16 +50,19 @@ __all__ = [
 
 @dataclass
 class RandomStreams:
-    """Independent named substreams hanging off one 64-bit master seed."""
+    """Independent named substreams hanging off one 64-bit master seed.
+
+    ``for_replication`` builds no data stream, which no chunk reads; its
+    two streams are the first two children of a three-way spawn."""
 
     arrivals: np.random.Generator
     services: np.random.Generator
-    data: np.random.Generator
+    data: np.random.Generator | None = None
 
     @classmethod
-    def _from_seed_seq(cls, ss: np.random.SeedSequence) -> "RandomStreams":
-        children = ss.spawn(3)
-        return cls(*(np.random.default_rng(c) for c in children))
+    def _from_seed_seq(cls, ss: np.random.SeedSequence,
+                       n: int = 3) -> "RandomStreams":
+        return cls(*(np.random.default_rng(c) for c in ss.spawn(n)))
 
     @classmethod
     def from_seed(cls, master_seed) -> "RandomStreams":
@@ -65,7 +71,7 @@ class RandomStreams:
     @classmethod
     def for_replication(cls, master_seed, rep: int) -> "RandomStreams":
         key = (master_seed,) if isinstance(master_seed, int) else tuple(master_seed)
-        return cls._from_seed_seq(np.random.SeedSequence(key + (rep,)))
+        return cls._from_seed_seq(np.random.SeedSequence(key + (rep,)), 2)
 
 
 def sample_exponential(rate: float, rng: np.random.Generator, size=None,
@@ -89,24 +95,34 @@ class _Queue:
     service times S, cumulative service C, departures D and sojourns, and
     row k of each holds the k-th transaction of every stream, so a block's
     rows are contiguous.  D_i = max(A_i, D_{i-1}) + S_i is evaluated as
-    C_i + max_{j<=i}(A_j - C_j + S_j).  Row 0 carries the state at the last
-    transaction served: the last arrival, the cumulative service, the
-    running maximum and the sojourn total of the block so far, so every
-    scan continues exactly as over one whole stream.  A stream's block
-    seals at its n_block-th departure if that comes no later than tau
-    after its first arrival; otherwise at that timeout, holding the
-    transactions served by then, or the first one if none was.  Callers
-    serve at most n_block transactions, so with no timeout a stream too
-    short to fill a block flushes all of them.
+    C_i + max_{j<=i}(A_j - C_j + S_j).  Each scan runs row by row, one
+    ufunc call over all streams per row, through row views kept from block
+    to block and from one ``start`` to the next.  Row 0 carries the state
+    at the last transaction served: A[0] the last arrival, C[0] the
+    cumulative service, D[0] the running maximum and the sojourn row the
+    block's total so far, so every scan continues exactly as over one whole
+    stream, in arrival order.  A stream's block seals at its n_block-th
+    departure if that comes no later than tau after its first arrival;
+    otherwise at that timeout, holding the transactions served by then, or
+    the first one if none was.  Callers serve at most n_block transactions,
+    so with no timeout a stream too short to fill a block flushes all of
+    them.  After ``serve`` a block's sojourn rows hold D - A for each
+    transaction served and 0 for the rest.
     """
 
     def __init__(self, p: SystemParams, buf: np.ndarray):
         self.p, self.buf = p, buf
-        buf[:, 0] = 0.0
-        buf[3, 0] = -math.inf
-        self.timeout_at = None
+        # row views of A, S, C, D and the sojourns, built as far as served
+        self.rows: list[list[np.ndarray]] = [[]]
+        self.start()
+
+    def start(self) -> None:
+        """Empty the queue for a new set of streams."""
+        self.buf[:, 0] = 0.0
+        self.buf[3, 0] = -math.inf
         # the block size so far of each stream
-        self.b = np.zeros(buf.shape[2], dtype=np.intp)
+        self.b = np.zeros(self.buf.shape[2], dtype=np.intp)
+        self.timeout_at = None
 
     def columns(self, w: int) -> tuple[np.ndarray, np.ndarray]:
         """The (w, streams) rows for the next block's gaps and services."""
@@ -116,29 +132,38 @@ class _Queue:
         """Serve the w transactions filled in through ``columns``; return
         whether every stream's last arrival is past its timeout, after which
         no later transaction can join a block."""
-        A, S, C, D, T = self.buf[:, :w + 1]
-        np.cumsum(A, axis=0, out=A)
-        np.cumsum(S, axis=0, out=C)
-        np.subtract(A[1:], C[1:], out=D[1:])
-        D[1:] += S[1:]
-        np.maximum.accumulate(D, axis=0, out=D)
-        D[0] = D[w]  # the running maximum, carried before C turns it into D
-        D[1:] += C[1:]
+        A, S, C, D, T = self.buf[:, 1:w + 1]
+        if len(self.rows[0]) <= w:
+            self.rows = [list(x) for x in self.buf[:, :w + 1]]
+        a, s, c, d, t = self.rows
+        add = np.add
+        for i in range(1, w + 1):
+            add(a[i - 1], a[i], out=a[i])
+            add(c[i - 1], s[i], out=c[i])
+        np.subtract(A, C, out=D)
+        D += S
+        for i in range(1, w + 1):
+            np.maximum(d[i - 1], d[i], out=d[i])
+        d[0][...] = d[w]  # the running maximum, kept before C turns it into D
+        D += C
         first = self.timeout_at is None
         if first:
-            self.timeout_at = A[1] + self.p.tau
+            self.timeout_at = A[0] + self.p.tau
         # departures never decrease along a stream, so the served ones
         # lead; a block holds its first transaction even when that departs
         # after the timeout
-        served = D[1:] <= self.timeout_at
+        served = D <= self.timeout_at
         served[0] |= first
         self.b += served.sum(axis=0)
-        np.subtract(D[1:], A[1:], out=T[1:])
-        T[1:] *= served
+        np.subtract(D, A, out=T)
+        T *= served
         # each block's sojourns, summed in arrival order
-        np.cumsum(T, axis=0, out=T)
-        A[0], S[0], T[0] = A[w], C[w], T[w]
-        return bool((A[0] > self.timeout_at).all())
+        total = t[0]
+        for i in range(1, w + 1):
+            add(total, t[i], out=total)
+        a[0][...] = a[w]
+        c[0][...] = c[w]
+        return bool((a[0] > self.timeout_at).all())
 
     @property
     def sojourn_total(self) -> np.ndarray:
@@ -151,19 +176,24 @@ def run_leader_batching(p: SystemParams, n: int,
 
     Draws n Poisson(lambda) arrival gaps from ``streams.arrivals`` and n
     Exp(mu) services from ``streams.services``, then applies ``_Queue``'s
-    seal rule.  Returns the block's size b and its sojourn total, the sum
-    of departure minus arrival over its b transactions.
+    seal rule, fed in blocks of at most 128 transactions.  Returns the
+    block's size b and its sojourn total, the sum of departure minus
+    arrival over its b transactions.
     """
     if n < 1:
         raise ValueError("no arrivals to batch")
-    queue = _Queue(p, np.empty((5, n + 1, 1)))
-    gaps, services = queue.columns(n)
-    sample_exponential(p.lam, streams.arrivals, out=gaps)
-    sample_exponential(p.mu, streams.services, out=services)
-    queue.serve(min(n, p.n_block))
+    gaps = sample_exponential(p.lam, streams.arrivals, n)
+    services = sample_exponential(p.mu, streams.services, n)
+    m, cap = min(n, p.n_block), max(1, _CHUNK_ELEMENTS // _CHUNK_REPS)
+    queue = _Queue(p, np.empty((5, min(m, cap) + 1, 1)))
+    sojourns = np.empty(m)
+    for lo in range(0, m, cap):
+        w = min(cap, m - lo)
+        queue.buf[:2, 1:w + 1, 0] = gaps[lo:lo + w], services[lo:lo + w]
+        queue.serve(w)
+        sojourns[lo:lo + w] = queue.buf[4, 1:w + 1, 0]
     b = int(queue.b[0])
-    arrivals, _, _, departures, _ = queue.buf[:, 1:b + 1, 0]
-    return b, float((departures - arrivals).sum())
+    return b, float(sojourns[:b].sum())
 
 
 def _phase_sums(p: SystemParams, gaps: np.ndarray, procs: np.ndarray):
@@ -373,8 +403,11 @@ def _first_width(p: SystemParams) -> int:
 
 def _initial_wait(p: SystemParams, e: np.ndarray) -> np.ndarray:
     """The stationary M/M/1 wait of a stream's first arrival, from Exp(mu)
-    draws ``e``: 0 with probability 1 - rho, else Exp(mu - lambda)."""
-    return np.maximum(0.0, (math.log(p.lam / p.mu) + p.mu * e) / (p.mu - p.lam))
+    draws ``e``: 0 with probability 1 - rho, else Exp(mu - lambda).  rho
+    is floored at the least normal float, where the wait is already 0:
+    mu e = -log1p(-u) <= 36.8 for every draw."""
+    return np.maximum(0.0, (math.log(max(p.lam / p.mu, sys.float_info.min))
+                            + p.mu * e) / (p.mu - p.lam))
 
 
 def _replication_draws(p: SystemParams, replications: int,
@@ -395,7 +428,7 @@ def _replication_draws(p: SystemParams, replications: int,
     n, R = p.n_block, _CHUNK_REPS
     cap = max(1, _CHUNK_ELEMENTS // R)
     draws = np.empty((replications, 4))
-    buf = np.empty((5, min(n, cap) + 1, R))
+    queue = _Queue(p, np.empty((5, min(n, cap) + 1, R)))
     waits = np.empty(R)
     votes = np.empty((4 * p.f, R))
     procs = np.empty((2 * (2 * p.f + 1), R))
@@ -403,7 +436,7 @@ def _replication_draws(p: SystemParams, replications: int,
         streams = RandomStreams.for_replication(master_seed, first // R)
         initial = _initial_wait(p, sample_exponential(p.mu, streams.services,
                                                       out=waits))
-        queue = _Queue(p, buf)
+        queue.start()
         done, w = 0, _first_width(p)
         while done < n:
             w = min(w, cap, n - done)
@@ -454,7 +487,13 @@ def _stat_row(values: np.ndarray) -> tuple[float, float]:
     mean = float(values.mean())
     if values.size < 2:
         return mean, math.nan
-    return mean, float(values.std(ddof=1) / math.sqrt(values.size))
+    with np.errstate(over="ignore"):
+        sd = float(values.std(ddof=1))
+    if sd == math.inf:
+        # finite deviations whose squares overflow: scale them to at most 1
+        scale = float(np.abs(values).max())
+        sd = scale * float((values / scale).std(ddof=1))
+    return mean, sd / math.sqrt(values.size)
 
 
 def run_experiment(

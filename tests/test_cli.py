@@ -491,6 +491,21 @@ def test_overflowing_latency_is_an_error(command, tmp_path, capsys,
     assert err == "error: t_local must be finite\n"
 
 
+@pytest.mark.parametrize("rates", ["lambda=1e-300\nmu=1e300\n",
+                                   "lambda=1e-200\nmu=1e200\n"])
+def test_an_extreme_rate_ratio_simulates_to_finite_columns(rates, tmp_path):
+    # lambda / mu underflows to 0, and the vote delays, near 1 / lambda,
+    # deviate by amounts whose squares overflow
+    cfg = tmp_path / "extreme.cfg"
+    cfg.write_text(rates)
+    done = run_module(["simulate", "--config", str(cfg), "--reps", "100"],
+                      subprocess.PIPE)
+    assert (done.returncode, done.stderr) == (0, "")
+    rows = [line.split(",") for line in done.stdout.splitlines()[1:]]
+    assert len(rows) == len(ALL_FIELDS)
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row[3:])
+
+
 def test_fl_run_rejects_zero_enterprises(capsys):
     code, out, err = run_cli(["fl-run", "--enterprises", "0"], capsys)
     assert code == 1

@@ -1,6 +1,7 @@
 """Random draws, leader batching, voting rounds, and the replication harness."""
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,17 @@ def test_streams_are_the_first_three_spawned_children(key):
     children = np.random.SeedSequence(key).spawn(4)
     streams = RandomStreams.from_seed(key)
     for name, child in zip(("arrivals", "services", "data"), children):
+        assert (getattr(streams, name).bit_generator.state
+                == np.random.default_rng(child).bit_generator.state)
+
+
+@pytest.mark.parametrize("key", [(0,), (42, 7)])
+def test_replication_streams_are_the_first_two_spawned_children(key):
+    # a chunk reads no data stream, so none is built
+    children = np.random.SeedSequence(key + (3,)).spawn(3)
+    streams = RandomStreams.for_replication(key, 3)
+    assert streams.data is None
+    for name, child in zip(("arrivals", "services"), children):
         assert (getattr(streams, name).bit_generator.state
                 == np.random.default_rng(child).bit_generator.state)
 
@@ -161,6 +173,28 @@ def test_batching_matches_fifo_recurrence():
     np.testing.assert_allclose(D, expected, rtol=1e-12)
     assert b == 50
     assert sojourn_total == pytest.approx((expected - arr).sum(), rel=1e-12)
+    for name in ("arrivals", "services"):
+        assert (getattr(streams, name).bit_generator.state
+                == getattr(twin, name).bit_generator.state)
+
+
+@pytest.mark.parametrize("n, n_block, tau", [
+    (129, 129, math.inf), (300, 300, math.inf), (300, 200, math.inf),
+    (400, 400, 2.0)])
+def test_batching_in_blocks_equals_one_whole_column(n, n_block, tau):
+    # run_leader_batching feeds the kernel 128 transactions at a time: b
+    # and the pairwise sojourn sum are those of one whole column, bit for
+    # bit, and the streams end where n draws of each leave them
+    p = full_params(n_block=n_block, tau=tau)
+    streams = RandomStreams.from_seed(5)
+    b, total = run_leader_batching(p, n, streams)
+    twin = RandomStreams.from_seed(5)
+    gaps = sample_exponential(p.lam, twin.arrivals, n)[:n_block]
+    services = sample_exponential(p.mu, twin.services, n)[:n_block]
+    arrivals = np.cumsum(gaps)
+    expected_b, D = whole_row(p, arrivals, services)
+    assert b == expected_b
+    assert total == (D - arrivals)[:b].sum()
     for name in ("arrivals", "services"):
         assert (getattr(streams, name).bit_generator.state
                 == getattr(twin, name).bit_generator.state)
@@ -310,6 +344,47 @@ def test_block_kernel_equals_whole_row_reference(n_block, tau):
                 assert queue.b[r] == b
                 assert queue.sojourn_total[r] == in_order(D[:b]
                                                           - arrivals[:b])
+
+
+def serve_chunk(queue, gaps, services, width):
+    """Start ``queue`` and feed it (n, streams) gaps and services in blocks
+    of ``width``, as a replication chunk does, until it reports every
+    timeout passed; return the number of blocks served."""
+    queue.start()
+    blocks = 0
+    for lo in range(0, len(gaps), width):
+        w = min(width, len(gaps) - lo)
+        for column_block, values in zip(queue.columns(w), (gaps, services)):
+            column_block[...] = values[lo:lo + w]
+        blocks += 1
+        if queue.serve(w):
+            break
+    return blocks
+
+
+@pytest.mark.parametrize("streams", [1, 7, 256])
+def test_a_reused_queue_equals_a_fresh_one_per_chunk(streams):
+    # one queue serves chunk after chunk, its row views extended as blocks
+    # widen: gaps of 1 s put every arrival past tau = 0.2, so such a chunk
+    # stops after its first block, while Poisson(100) gaps need several
+    # blocks of 4 or 5; narrower blocks after wider ones leave stale values
+    # in later rows
+    p = SystemParams(tau=0.2, n_block=40)
+    rng = np.random.default_rng(streams)
+    shape = (p.n_block, streams)
+    reused = sim._Queue(p, np.full((5, 17, streams), np.nan))
+    for spread, width in ((False, 4), (True, 16), (False, 5), (True, 3),
+                          (False, 16), (False, 4)):
+        gaps = (np.ones(shape) if spread
+                else sample_exponential(p.lam, rng, shape))
+        services = sample_exponential(p.mu, rng, shape)
+        fresh = sim._Queue(p, np.empty((5, 17, streams)))
+        blocks = serve_chunk(reused, gaps, services, width)
+        assert serve_chunk(fresh, gaps, services, width) == blocks
+        assert blocks == 1 if spread else blocks > 1
+        np.testing.assert_array_equal(reused.b, fresh.b)
+        np.testing.assert_array_equal(reused.sojourn_total,
+                                      fresh.sojourn_total)
 
 
 @pytest.mark.parametrize("reps, rows", [
@@ -627,6 +702,18 @@ def test_experiment_caps_reps_and_draws_before_allocating(reps, n_block,
     # both once ended in a MemoryError from numpy
     with pytest.raises(ValueError, match=message):
         run_experiment(SystemParams(n_block=n_block), reps, 0)
+
+
+def test_standard_error_survives_squares_that_overflow():
+    # deviations near 1e200 square past the float range; the standard
+    # error is still finite, and no warning is raised
+    values = np.array([1.0, 3.0, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean, se = sim._stat_row(values * 1e200)
+    assert mean == pytest.approx(2e200, rel=1e-15)
+    assert se == pytest.approx(1e200 / math.sqrt(3), rel=1e-15)
+    assert sim._stat_row(values) == (2.0, 1 / math.sqrt(3))
 
 
 def test_experiment_converges_toward_formula():

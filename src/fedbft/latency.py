@@ -49,6 +49,12 @@ def _require_rates(lam: float, mu: float) -> None:
         raise ValueError("lambda must be < mu")
 
 
+def _require_batch(b) -> None:
+    """b, a count or an array of them, must be >= 1 throughout."""
+    if not np.asarray(b >= 1).all():
+        raise ValueError("b must be >= 1")
+
+
 def t_local_update(delta_d: float, n_i: int, f_c: float) -> float:
     """Local training time: delta_d cycles per sample over n_i samples at f_c."""
     _require_positive(delta_d=delta_d, f_c=f_c)
@@ -77,10 +83,10 @@ def t_upload(delta_m: float, w_up: float, gamma_up: float) -> float:
     return delta_m / _capacity(w_up, gamma_up)
 
 def t_download(h: float, b: int, delta_m: float, w_dn: float, gamma_dn: float) -> float:
-    """Time to pull a sealed block (header plus b updates) down the link."""
+    """Time to pull a sealed block (header plus b updates) down the link;
+    b may be an array."""
     _require_positive(h=h, delta_m=delta_m, w_dn=w_dn, gamma_dn=gamma_dn)
-    if b < 1:
-        raise ValueError("b must be >= 1")
+    _require_batch(b)
     return (h + b * delta_m) / _capacity(w_dn, gamma_dn)
 
 
@@ -89,11 +95,10 @@ def t_preprepare(b: int, lam: float, mu: float) -> float:
 
     The leader's collect-verify-batch pipeline behaves as an M/M/1 queue,
     so each transaction sojourns 1/(mu - lambda) on average and a block
-    of b of them costs b/(mu - lambda).
+    of b of them costs b/(mu - lambda).  b may be an array.
     """
     _require_rates(lam, mu)
-    if b < 1:
-        raise ValueError("b must be >= 1")
+    _require_batch(b)
     return b / (mu - lam)
 
 
@@ -118,15 +123,19 @@ def _consensus(b, f, lam, mu):
 def consensus_closed_form(b: int, f: int, lam: float, mu: float) -> float:
     """Single-expression consensus delay, equal to the phase sum."""
     _require_rates(lam, mu)
-    if b < 1:
-        raise ValueError("b must be >= 1")
+    _require_batch(b)
     if f < 0:
         raise ValueError("f must be >= 0")
     return _consensus(b, f, lam, mu)
 
 
 def t_total(p: SystemParams, n_i: int, b: int) -> LatencyBreakdown:
-    """Predicted breakdown of a whole cycle for batch size b."""
+    """Predicted breakdown of a whole cycle for batch size b.
+
+    b may be an array of batch sizes; then ``t_preprepare`` and ``t_dn``,
+    the only components that depend on it, are arrays of its shape, and
+    the other components stay scalars.
+    """
     return LatencyBreakdown(
         t_local=t_local_update(p.delta_d, n_i, p.f_c),
         t_up=t_upload(p.delta_m, p.w_up, p.gamma_up),

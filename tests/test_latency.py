@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fedbft import latency
-from fedbft.domain import SystemParams
+from fedbft.domain import ALL_FIELDS, SystemParams
 
 # Each pinned value below was computed by hand from the defining formula
 # before being frozen here (e.g. t_local = 1e4 * 500 / 1e9 = 5e-3 s, and
@@ -164,6 +164,33 @@ def test_consensus_blows_up_near_saturation():
 def test_domain_errors(call, msg):
     with pytest.raises(ValueError, match=msg):
         call()
+
+
+def test_total_over_an_array_of_b_equals_each_scalar_call():
+    # one call prices every replication's b: each component and each sum
+    # equals the scalar call's, bit for bit, whether the b are counts or
+    # floats, and a scalar b, as ``model`` and ``fl-run`` pass, still
+    # gives plain floats
+    p = SystemParams(tau=0.2)
+    bs = np.arange(1, p.n_block + 1)
+    scalars = [latency.t_total(p, 500, b) for b in range(1, p.n_block + 1)]
+    for array in (bs, bs.astype(float)):
+        model = latency.t_total(p, 500, array)
+        for name in ALL_FIELDS:
+            expected = [getattr(bd, name) for bd in scalars]
+            assert all(type(value) is float for value in expected)
+            values = np.broadcast_to(getattr(model, name), bs.shape)
+            assert values.tolist() == expected
+
+
+@pytest.mark.parametrize("call", [
+    lambda b: latency.t_preprepare(b, 100.0, 300.0),
+    lambda b: latency.t_download(1e3, b, 1e4, 1e7, 15.0),
+    lambda b: latency.t_total(SystemParams(), 500, b),
+])
+def test_an_array_of_b_holding_a_zero_is_one_error(call):
+    with pytest.raises(ValueError, match="^b must be >= 1$"):
+        call(np.array([3, 1, 0, 7]))
 
 
 @given(st.integers(1, 20), st.integers(1, 500), st.floats(10.0, 1000.0))

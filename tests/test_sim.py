@@ -400,33 +400,54 @@ def test_experiment_does_not_depend_on_block_or_chunk_size(monkeypatch, reps,
     assert run_experiment(p, reps, 5) == expected
 
 
-@pytest.mark.parametrize("tau", [0.02, 0.2, math.inf])
+@pytest.mark.parametrize("tau", [1e-9, 0.02, 0.2, math.inf])
 @pytest.mark.parametrize("first, cap", [(1, 1), (1, 100), (100, 1),
                                         (100, 100)])
 def test_results_do_not_depend_on_first_width_or_block_cap(monkeypatch, tau,
                                                            first, cap):
-    # the first block's width and the block cap are work-only: from one
-    # transaction per block to the whole n_block of 100 in one
+    # the block widths and the block cap are work-only: from one
+    # transaction per block to the whole n_block of 100 in one, for the
+    # first block and for the blocks after it; at 1e-9 a chunk's reach is
+    # two rows, at inf it is all of n_block
     p = SystemParams(tau=tau)
     expected = _replication_draws(p, 300, 8)
     monkeypatch.setattr(sim, "_first_width", lambda p: first)
     monkeypatch.setattr(sim, "_CHUNK_ELEMENTS", cap * sim._CHUNK_REPS)
     np.testing.assert_array_equal(_replication_draws(p, 300, 8), expected)
+    for later in (1, 100):
+        monkeypatch.setattr(sim, "_later_width", lambda p, later=later: later)
+        np.testing.assert_array_equal(_replication_draws(p, 300, 8),
+                                      expected)
 
 
-def test_a_huge_block_draws_only_what_its_timeout_reaches(monkeypatch):
+@pytest.fixture
+def drawn(monkeypatch):
+    """The sizes of the draws ``sim`` makes through ``sample_exponential``."""
+    sizes = []
+
+    def counted(*args, **kwargs):
+        values = sample_exponential(*args, **kwargs)
+        sizes.append(values.size)
+        return values
+
+    monkeypatch.setattr(sim, "sample_exponential", counted)
+    return sizes
+
+
+def test_timeout_chunks_draw_little_past_their_reach(drawn):
+    # at tau 0.2 a chunk's reach is 2 plus the largest of 256
+    # Poisson(20) arrival counts: 35 rows at the median, 45 at the 99.9th
+    # percentile.  Blocks fitted to the median draw about 38 rows a chunk
+    # (883 712 values); a first block of 45 rows drew 1 034 240
+    run_experiment(SystemParams(tau=0.2), 10_000, 42)
+    assert sum(drawn) <= 900_000
+
+
+def test_a_huge_block_draws_only_what_its_timeout_reaches(drawn):
     # n_block 10^6 at tau 1: about 100 arrivals fall within a row's
     # timeout, so a chunk draws a few hundred of its 10^6 transactions and
     # holds a block of at most 128 in memory
     p = SystemParams(n_block=1_000_000, tau=1.0)
-    drawn = []
-
-    def counted(*args, **kwargs):
-        values = sample_exponential(*args, **kwargs)
-        drawn.append(values.size)
-        return values
-
-    monkeypatch.setattr(sim, "sample_exponential", counted)
     tracemalloc.start()
     try:
         b, preprepare, _, _ = _replication_draws(p, 1, 4)[0]

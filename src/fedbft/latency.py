@@ -169,8 +169,9 @@ def optimal_lambda(f: int, n_block: int, mu: float) -> float:
 def argmin_consensus_grid(f: int, n_block: int, mu: float, grid_step: float) -> float:
     """Grid argmin of the full-block consensus delay over (0, mu).
 
-    Scans lambda = grid_step, 2*grid_step, ..., mu - grid_step and also
-    checks discrete convexity: every second difference must be >= -1e-9.
+    Scans lambda = grid_step, 2*grid_step, ..., mu - grid_step, in units
+    of mu, and also checks discrete convexity: every second difference
+    must be >= -1e-9 s.
     """
     _require_positive(mu=mu, grid_step=grid_step)
     if not mu / grid_step < MAX_GRID_POINTS:  # also catches an infinite ratio
@@ -179,8 +180,8 @@ def argmin_consensus_grid(f: int, n_block: int, mu: float, grid_step: float) -> 
     if n_pts < 3:
         raise ValueError("grid_step too coarse for (0, mu)")
     grid = grid_step * np.arange(1, n_pts + 1)
-    values = _consensus(n_block, f, grid, mu)
-    second = np.diff(values, n=2)
-    if second.min() < -1e-9:
+    # mu times the delay, a function of lambda/mu alone, overflows at no mu
+    values = _consensus(n_block, f, grid / mu, 1.0)
+    if np.diff(values, n=2).min() < -1e-9 * mu:
         raise ValueError("consensus delay not convex along grid")
     return float(grid[int(np.argmin(values))])

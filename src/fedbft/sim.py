@@ -4,25 +4,24 @@ Transactions arrive at the leader with exponential gaps and are served FIFO
 at an exponential rate.  One kernel, ``_Queue``, computes the departures of
 many streams at once with Lindley's recurrence D_i = max(A_i, D_{i-1}) +
 S_i, written as a running maximum over the cumulative service, one block of
-transactions at a time.  Its scans run row by row, each call covering one
-transaction of every stream, and carry their state across blocks in row 0
-of the kernel's buffer.  It applies the seal rule stream by stream: a block
-closes at the earlier of n_block served transactions or tau after the
+transactions at a time, with scans that run row by row across many streams
+and down the column of one.  It applies the seal rule stream by stream: a
+block closes at the earlier of n_block served transactions or tau after the
 cycle's first arrival, never before the first completion, and a stream that
 runs out first flushes what has been served.
-The voting round is timed at an honest peer as the sum of its vote gaps and
-message processing draws (``_phase_sums``).
 
-``run_cycle`` drives one training cycle through that pipeline, one stream
-at a time: ``run_leader_batching`` gives the block's size and sojourn
-total, ``run_pbft_round`` its prepare and commit delays.  ``run_training``
-repeats cycles until the stop rule.  ``run_experiment`` replicates the
-pipeline and sets the measured delays beside ``latency.t_total`` at each
-realized b, and ``run_sweep`` does so at each point of a parameter grid.
-Each replication starts the queue in its exact stationary state, so its
-block begins at its first arrival, and each chunk of 256 replications
-reads one pair of streams transaction by transaction, stopping where no
-timeout can reach; README "Determinism" sets out that contract.
+``_serve_chunk`` draws and serves one block for every stream of a queue,
+one transaction at a time across the streams, stopping where no timeout can
+reach; ``_voting_round`` times the voting rounds that follow at an honest
+peer, each phase the sum of its vote gaps and message processing draws.
+``run_cycle`` drives one training cycle through them with one stream:
+``run_leader_batching`` gives the block's size and sojourn total,
+``run_pbft_round`` its prepare and commit delays.  ``run_training`` repeats
+cycles until the stop rule.  ``run_experiment`` replicates the pipeline in
+chunks of 256 streams, each queue started in its exact stationary state, and
+sets the measured delays beside ``latency.t_total`` at each realized b;
+``run_sweep`` does so at each point of a parameter grid.  README
+"Determinism" sets out the draw contract.
 """
 from __future__ import annotations
 
@@ -87,6 +86,17 @@ def sample_exponential(rate: float, rng: np.random.Generator, size=None,
     return np.divide(np.log1p(np.negative(u, out=out), out=out), -rate, out=out)
 
 
+# replications per seeded chunk, a constant of the stream contract, and
+# drawn elements per block of transactions, which the output ignores: 128
+# transactions of a chunk's 256 streams
+_CHUNK_REPS = 256
+_CHUNK_ELEMENTS = 1 << 15
+# streams from which the kernel scans row by row, not down each column: over
+# 36 rows an accumulate took 0.8 us at 1 stream and 33 us at 256, the row
+# loop 33 and 15 us (2-core host); they cross at about 128 streams
+_ROW_SCAN_STREAMS = 128
+
+
 class _Queue:
     """FIFO departures and the seal rule: the simulator's one queue kernel.
 
@@ -95,19 +105,16 @@ class _Queue:
     service times S, cumulative service C, departures D and sojourns, and
     row k of each holds the k-th transaction of every stream, so a block's
     rows are contiguous.  D_i = max(A_i, D_{i-1}) + S_i is evaluated as
-    C_i + max_{j<=i}(A_j - C_j + S_j).  Each scan runs row by row, one
-    ufunc call over all streams per row, through row views kept from block
-    to block and from one ``start`` to the next.  Row 0 carries the state
-    at the last transaction served: A[0] the last arrival, C[0] the
-    cumulative service, D[0] the running maximum and the sojourn row the
-    block's total so far, so every scan continues exactly as over one whole
-    stream, in arrival order.  A stream's block seals at its n_block-th
-    departure if that comes no later than tau after its first arrival;
-    otherwise at that timeout, holding the transactions served by then, or
-    the first one if none was.  Callers serve at most n_block transactions,
-    so with no timeout a stream too short to fill a block flushes all of
-    them.  After ``serve`` a block's sojourn rows hold D - A for each
-    transaction served and 0 for the rest.
+    C_i + max_{j<=i}(A_j - C_j + S_j) by four scans (``_scan``).  Row 0
+    carries the state at the last transaction served: A[0] the last
+    arrival, C[0] the cumulative service, D[0] the running maximum and the
+    sojourn row the block's total so far, so every scan continues exactly
+    as over one whole stream, in arrival order.  A stream's block seals at
+    its n_block-th departure if that comes no later than tau after its
+    first arrival; otherwise at that timeout, holding the transactions
+    served by then, or the first one if none was.  Callers serve at most
+    n_block transactions, so with no timeout a stream too short to fill a
+    block flushes all of them.
     """
 
     def __init__(self, p: SystemParams, buf: np.ndarray):
@@ -128,23 +135,34 @@ class _Queue:
         """The (w, streams) rows for the next block's gaps and services."""
         return self.buf[0, 1:w + 1], self.buf[1, 1:w + 1]
 
+    def _scan(self, ufunc, src: int, dst: int, w: int) -> None:
+        """Row i of ``dst`` becomes ufunc(row i-1 of ``dst``, row i of
+        ``src``) for i = 1..w from row 0's carry, which then takes row w:
+        by row views kept from call to call, or, below ``_ROW_SCAN_STREAMS``
+        streams, by one accumulate from the carry put in ``src``'s row 0."""
+        out = self.buf[dst, :w + 1]
+        if self.buf.shape[2] < _ROW_SCAN_STREAMS:
+            x = self.buf[src, :w + 1]
+            x[0] = out[0]
+            ufunc.accumulate(x, axis=0, out=out)
+        else:
+            if len(self.rows[0]) <= w:
+                self.rows = [list(x) for x in self.buf[:, :w + 1]]
+            s, d = self.rows[src], self.rows[dst]
+            for i in range(1, w + 1):
+                ufunc(d[i - 1], s[i], out=d[i])
+        out[0] = out[w]
+
     def serve(self, w: int) -> bool:
         """Serve the w transactions filled in through ``columns``; return
         whether every stream's last arrival is past its timeout, after which
         no later transaction can join a block."""
         A, S, C, D, T = self.buf[:, 1:w + 1]
-        if len(self.rows[0]) <= w:
-            self.rows = [list(x) for x in self.buf[:, :w + 1]]
-        a, s, c, d, t = self.rows
-        add = np.add
-        for i in range(1, w + 1):
-            add(a[i - 1], a[i], out=a[i])
-            add(c[i - 1], s[i], out=c[i])
+        self._scan(np.add, 0, 0, w)
+        self._scan(np.add, 1, 2, w)
         np.subtract(A, C, out=D)
         D += S
-        for i in range(1, w + 1):
-            np.maximum(d[i - 1], d[i], out=d[i])
-        d[0][...] = d[w]  # the running maximum, kept before C turns it into D
+        self._scan(np.maximum, 3, 3, w)  # carried before C turns it into D
         D += C
         first = self.timeout_at is None
         if first:
@@ -157,55 +175,89 @@ class _Queue:
         self.b += served.sum(axis=0)
         np.subtract(D, A, out=T)
         T *= served
-        # each block's sojourns, summed in arrival order
-        total = t[0]
-        for i in range(1, w + 1):
-            add(total, t[i], out=total)
-        a[0][...] = a[w]
-        c[0][...] = c[w]
-        return bool((a[0] > self.timeout_at).all())
+        self._scan(np.add, 4, 4, w)  # each block's sojourns, in arrival order
+        return bool((self.buf[0, 0] > self.timeout_at).all())
 
     @property
     def sojourn_total(self) -> np.ndarray:
         return self.buf[4, 0]
 
 
+def _first_width(p: SystemParams) -> int:
+    """Transactions a chunk draws first: lambda tau + 3 sqrt(lambda tau) +
+    3, or all n_block with no timeout.  A chunk's reach is 2 plus the
+    largest of its 256 Poisson(lambda tau) arrival counts within a
+    timeout.  For lambda tau from 0.01 to 100 this width lies between
+    the reach's median and 80th percentile, or one row below the median
+    (35 and 37 rows at lambda tau = 20, where it is 36)."""
+    reach = p.lam * p.tau
+    return int(min(p.n_block, reach + 3 * math.sqrt(reach) + 3))
+
+
+def _later_width(p: SystemParams) -> int:
+    """Transactions a chunk draws next if its first block falls short:
+    sqrt(lambda tau) + 2.  The two blocks cover the reach of over 99 % of
+    chunks for lambda tau from 0.01 to 100.  n_block bounds it, so it
+    stays finite at tau = inf."""
+    return int(min(p.n_block, math.sqrt(p.lam * p.tau) + 2))
+
+
+def _serve_chunk(p: SystemParams, queue: _Queue, streams: RandomStreams,
+                 n: int, initial=0.0) -> None:
+    """Draw n transactions for every stream of ``queue`` and seal a block.
+
+    ``streams`` gives the gaps and the services one transaction at a time
+    across the queue's streams, and ``initial`` is added to the first
+    services.  The first min(n, n_block) are drawn and served in blocks
+    that fit the queue: ``_first_width``, ``_later_width``, then doubling.
+    Once every last arrival is past its timeout, each stream skips the
+    rest of the n with one ``advance``, which leaves it where drawing would.
+    """
+    columns, cap = queue.buf.shape[2], queue.buf.shape[1] - 1
+    m = min(n, p.n_block)
+    queue.start()
+    done, w = 0, _first_width(p)
+    while done < m:
+        w = min(w, cap, m - done)
+        gaps, services = queue.columns(w)
+        sample_exponential(p.lam, streams.arrivals, out=gaps)
+        sample_exponential(p.mu, streams.services, out=services)
+        if not done:
+            services[0] += initial
+        done += w
+        if queue.serve(w):
+            break
+        w = 2 * w if done > w else _later_width(p)  # done == w after the first
+    streams.arrivals.bit_generator.advance((n - done) * columns)
+    streams.services.bit_generator.advance((n - done) * columns)
+
+
+def _voting_round(p: SystemParams, streams: RandomStreams, columns: int):
+    """(t_prepare, t_commit) rows of ``columns`` voting rounds: 2f prepare
+    then 2f commit vote gaps from ``streams.arrivals``, 2f+1 prepare then
+    2f+1 commit processing draws from ``streams.services``, a row of
+    ``columns`` at a time, each summed by numpy: in draw order across many
+    columns, pairwise down one column of 8 or more."""
+    twof = 2 * p.f
+    gaps = sample_exponential(p.lam, streams.arrivals, (2, twof, columns))
+    procs = sample_exponential(p.mu, streams.services, (2, twof + 1, columns))
+    return gaps.sum(axis=1) + procs.sum(axis=1)
+
+
 def run_leader_batching(p: SystemParams, n: int,
                         streams: RandomStreams) -> tuple[int, float]:
     """Serve n transactions FIFO at rate mu and seal one block.
 
-    Draws n Poisson(lambda) arrival gaps from ``streams.arrivals`` and n
-    Exp(mu) services from ``streams.services``, then applies ``_Queue``'s
-    seal rule, fed in blocks of at most 128 transactions.  Returns the
-    block's size b and its sojourn total, the sum of departure minus
-    arrival over its b transactions.
+    ``_serve_chunk`` on one stream with no initial wait, which leaves
+    ``streams`` where n gaps and n services would.  Returns the block's
+    size b and its sojourn total, the sum of departure minus arrival over
+    its b transactions in arrival order.
     """
     if n < 1:
         raise ValueError("no arrivals to batch")
-    gaps = sample_exponential(p.lam, streams.arrivals, n)
-    services = sample_exponential(p.mu, streams.services, n)
-    m, cap = min(n, p.n_block), max(1, _CHUNK_ELEMENTS // _CHUNK_REPS)
-    queue = _Queue(p, np.empty((5, min(m, cap) + 1, 1)))
-    sojourns = np.empty(m)
-    for lo in range(0, m, cap):
-        w = min(cap, m - lo)
-        queue.buf[:2, 1:w + 1, 0] = gaps[lo:lo + w], services[lo:lo + w]
-        queue.serve(w)
-        sojourns[lo:lo + w] = queue.buf[4, 1:w + 1, 0]
-    b = int(queue.b[0])
-    return b, float(sojourns[:b].sum())
-
-
-def _phase_sums(p: SystemParams, gaps: np.ndarray, procs: np.ndarray):
-    """Per-row (t_prepare, t_commit): each phase's vote gaps plus its
-    processing draws, from (rows, 4f) gaps and (rows, 2(2f+1)) processing
-    draws.
-
-    Draw order: prepare gaps, commit gaps, prepare processing, commit processing.
-    """
-    twof = 2 * p.f
-    return (gaps[:, :twof].sum(axis=1) + procs[:, :twof + 1].sum(axis=1),
-            gaps[:, twof:].sum(axis=1) + procs[:, twof + 1:].sum(axis=1))
+    queue = _Queue(p, np.empty((5, min(n, p.n_block, _CHUNK_ELEMENTS) + 1, 1)))
+    _serve_chunk(p, queue, streams, n)
+    return int(queue.b[0]), float(queue.sojourn_total[0])
 
 
 def run_pbft_round(p: SystemParams, streams: RandomStreams) -> tuple[float, float]:
@@ -216,9 +268,7 @@ def run_pbft_round(p: SystemParams, streams: RandomStreams) -> tuple[float, floa
     apiece.  Which f peers are faulty does not change that sum.  Returns
     (t_prepare, t_commit).
     """
-    gaps = sample_exponential(p.lam, streams.arrivals, 4 * p.f)
-    procs = sample_exponential(p.mu, streams.services, 2 * (2 * p.f + 1))
-    prepare, commit = _phase_sums(p, gaps[None], procs[None])
+    prepare, commit = _voting_round(p, streams, 1)
     return float(prepare[0]), float(commit[0])
 
 
@@ -377,11 +427,6 @@ def audit_block(
                for tx in block.txs)
 
 
-# replications per seeded chunk, a constant of the stream contract, and
-# drawn elements per block of transactions, which the output ignores: 128
-# transactions of a chunk's 256 streams
-_CHUNK_REPS = 256
-_CHUNK_ELEMENTS = 1 << 15
 MAX_REPS = 1_000_000
 MAX_DRAWS = 1 << 30
 
@@ -391,25 +436,6 @@ def _row_width(p: SystemParams) -> int:
     gaps, then an initial wait, n_block services and 2(2f+1) processing
     draws."""
     return 2 * p.n_block + 4 * p.f + 2 * (2 * p.f + 1) + 1
-
-
-def _first_width(p: SystemParams) -> int:
-    """Transactions a chunk draws first: lambda tau + 3 sqrt(lambda tau) +
-    3, or all n_block with no timeout.  A chunk's reach is 2 plus the
-    largest of its 256 Poisson(lambda tau) arrival counts within a
-    timeout.  For lambda tau from 0.01 to 100 this width lies between
-    the reach's median and 80th percentile, or one row below the median
-    (35 and 37 rows at lambda tau = 20, where it is 36)."""
-    reach = p.lam * p.tau
-    return int(min(p.n_block, reach + 3 * math.sqrt(reach) + 3))
-
-
-def _later_width(p: SystemParams) -> int:
-    """Transactions a chunk draws next if its first block falls short:
-    sqrt(lambda tau) + 2.  The two blocks cover the reach of over 99 % of
-    chunks for lambda tau from 0.01 to 100.  n_block bounds it, so it
-    stays finite at tau = inf."""
-    return int(min(p.n_block, math.sqrt(p.lam * p.tau) + 2))
 
 
 def _initial_wait(p: SystemParams, e: np.ndarray) -> np.ndarray:
@@ -428,51 +454,20 @@ def _replication_draws(p: SystemParams, replications: int,
     Replications c*R .. c*R + R - 1 (R = ``_CHUNK_REPS``) are the columns
     of chunk c, which reads ``RandomStreams.for_replication(master_seed,
     c)`` one transaction at a time: R initial waits from the services
-    stream, then for each of the n_block transactions R gaps and R
-    services, then 4f rows of R vote gaps and 2(2f+1) rows of R processing
-    draws.  A short last chunk draws all R columns.  Transactions are drawn
-    and served in blocks, within ``_CHUNK_ELEMENTS``: ``_first_width``
-    first, then ``_later_width``, then blocks that double.  Once every
-    column's last arrival is past its timeout, each stream skips the rest
-    of its transactions with one ``advance``, which leaves it where
-    drawing them would.
+    stream, then ``_serve_chunk``'s n_block transactions and
+    ``_voting_round``'s draws, R columns each.  A short last chunk draws
+    all R columns.
     """
-    n, R = p.n_block, _CHUNK_REPS
-    cap = max(1, _CHUNK_ELEMENTS // R)
-    later = _later_width(p)
+    R, cap = _CHUNK_REPS, max(1, _CHUNK_ELEMENTS // _CHUNK_REPS)
     draws = np.empty((replications, 4))
-    queue = _Queue(p, np.empty((5, min(n, cap) + 1, R)))
-    waits = np.empty(R)
-    votes = np.empty((4 * p.f, R))
-    procs = np.empty((2 * (2 * p.f + 1), R))
+    queue = _Queue(p, np.empty((5, min(p.n_block, cap) + 1, R)))
     for first in range(0, replications, R):
         streams = RandomStreams.for_replication(master_seed, first // R)
-        initial = _initial_wait(p, sample_exponential(p.mu, streams.services,
-                                                      out=waits))
-        queue.start()
-        done, w = 0, _first_width(p)
-        while done < n:
-            w = min(w, cap, n - done)
-            gaps, services = queue.columns(w)
-            sample_exponential(p.lam, streams.arrivals, out=gaps)
-            sample_exponential(p.mu, streams.services, out=services)
-            if not done:
-                services[0] += initial
-            done += w
-            if queue.serve(w):
-                break
-            w = 2 * w if done > w else later  # done == w only after the first
-        streams.arrivals.bit_generator.advance((n - done) * R)
-        streams.services.bit_generator.advance((n - done) * R)
-        prepare, commit = _phase_sums(
-            p, sample_exponential(p.lam, streams.arrivals, out=votes).T,
-            sample_exponential(p.mu, streams.services, out=procs).T)
+        initial = _initial_wait(p, sample_exponential(p.mu, streams.services, R))
+        _serve_chunk(p, queue, streams, p.n_block, initial)
         rows = min(R, replications - first)
-        out = draws[first:first + rows]
-        out[:, 0] = queue.b[:rows]
-        out[:, 1] = queue.sojourn_total[:rows]
-        out[:, 2] = prepare[:rows]
-        out[:, 3] = commit[:rows]
+        draws[first:first + rows] = np.transpose(
+            (queue.b, queue.sojourn_total, *_voting_round(p, streams, R)))[:rows]
     return draws
 
 
@@ -524,7 +519,8 @@ def run_experiment(
     evaluated in one call over the array of every replication's b; its
     measurement is that breakdown with the three consensus phases replaced
     by simulated ones.  Every field, the four sums included, gets
-    a mean, a standard error, the mean prediction and a relative error.
+    a mean, a standard error, the mean prediction and a relative error,
+    NaN where that prediction is 0.
     """
     _check_experiment(p, replications, n_samples)
     bs, pre, prep, com = _replication_draws(p, replications, master_seed).T
@@ -540,7 +536,8 @@ def run_experiment(
         mean=mean,
         std_err={n: se for n, (_, se) in rows.items()},
         analytic=analytic,
-        rel_error={n: abs(mean[n] - analytic[n]) / analytic[n] for n in ALL_FIELDS},
+        rel_error={n: abs(mean[n] - analytic[n]) / analytic[n] if analytic[n]
+                   else math.nan for n in ALL_FIELDS},
     )
 
 

@@ -261,6 +261,22 @@ def test_optimal_lambda_agrees_with_grid(capsys):
     assert abs(argmin - star) <= step
 
 
+@pytest.mark.parametrize("mu", ["1e200", "1e300"])
+def test_optimal_lambda_at_a_huge_mu_agrees_with_grid(mu, tmp_path, capsys):
+    # lambda (mu - lambda) overflows on a grid in tx/s; in units of mu,
+    # lambda/mu, nothing does
+    cfg = tmp_path / "huge_mu.cfg"
+    cfg.write_text(f"mu={mu}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning fails the test
+        code, out, err = run_cli(["optimal-lambda", "--config", str(cfg)],
+                                 capsys)
+    assert (code, err) == (0, "")
+    star, argmin, step = (float(v) for v in out.splitlines()[1].split(","))
+    assert star == pytest.approx(float(mu) / 6, rel=1e-11)  # 12 digits
+    assert abs(argmin - star) <= step
+
+
 # --- fl-run ---
 
 def test_fl_run_reports_cycles(capsys):
@@ -504,6 +520,37 @@ def test_an_extreme_rate_ratio_simulates_to_finite_columns(rates, tmp_path):
     rows = [line.split(",") for line in done.stdout.splitlines()[1:]]
     assert len(rows) == len(ALL_FIELDS)
     assert all(math.isfinite(float(cell)) for row in rows for cell in row[3:])
+
+
+MAX_FLOAT = repr(sys.float_info.max)
+
+
+@pytest.mark.parametrize("config, zeros", [
+    ("delta_d=5e-324", {"t_local"}), ("delta_m=5e-324", {"t_up", "t_global"}),
+    (f"w_up={MAX_FLOAT}", {"t_up"}), (f"w_dn={MAX_FLOAT}", {"t_dn"})])
+def test_a_component_modelled_as_zero_has_a_blank_rel_error(config, zeros,
+                                                             tmp_path):
+    # t_local, t_up, t_global or t_dn underflows to 0, or its link capacity
+    # overflows; a relative error against 0 is undefined, so its cell is
+    # blank, and sweep, which reports only the sums, is unaffected
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(config + "\n")
+    done = run_module(["simulate", "--config", str(cfg), "--reps", "300"],
+                      subprocess.PIPE, python_flags=("-W", "error"))
+    assert (done.returncode, done.stderr) == (0, "")
+    rows = [line.split(",") for line in done.stdout.splitlines()[1:]]
+    assert {row[2] for row in rows if row[6] == ""} == zeros
+    for row in rows:
+        cells = row[3:] if row[2] not in zeros else row[3:6]
+        assert all(math.isfinite(float(cell)) for cell in cells)
+        assert (float(row[5]) == 0) == (row[2] in zeros)
+    done = run_module(["sweep", "--config", str(cfg), "--reps", "2", "--param",
+                       "lambda", "--from", "50", "--to", "100", "--step", "50"],
+                      subprocess.PIPE, python_flags=("-W", "error"))
+    assert (done.returncode, done.stderr) == (0, "")
+    rows = [line.split(",") for line in done.stdout.splitlines()[1:]]
+    assert len(rows) == 2
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row[1:])
 
 
 def test_fl_run_rejects_zero_enterprises(capsys):

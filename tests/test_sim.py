@@ -181,10 +181,11 @@ def test_batching_matches_fifo_recurrence():
 @pytest.mark.parametrize("n, n_block, tau", [
     (129, 129, math.inf), (300, 300, math.inf), (300, 200, math.inf),
     (400, 400, 2.0)])
-def test_batching_in_blocks_equals_one_whole_column(n, n_block, tau):
-    # run_leader_batching feeds the kernel 128 transactions at a time: b
-    # and the pairwise sojourn sum are those of one whole column, bit for
-    # bit, and the streams end where n draws of each leave them
+def test_one_column_batching_equals_one_whole_column(n, n_block, tau):
+    # run_leader_batching draws and serves one column in blocks, and stops
+    # drawing at the timeout's reach: b and the sojourn sum, in arrival
+    # order, are those of one whole column, bit for bit, and the streams
+    # end where n draws of each leave them
     p = full_params(n_block=n_block, tau=tau)
     streams = RandomStreams.from_seed(5)
     b, total = run_leader_batching(p, n, streams)
@@ -194,7 +195,7 @@ def test_batching_in_blocks_equals_one_whole_column(n, n_block, tau):
     arrivals = np.cumsum(gaps)
     expected_b, D = whole_row(p, arrivals, services)
     assert b == expected_b
-    assert total == (D - arrivals)[:b].sum()
+    assert total == in_order((D - arrivals)[:b])
     for name in ("arrivals", "services"):
         assert (getattr(streams, name).bit_generator.state
                 == getattr(twin, name).bit_generator.state)
@@ -418,6 +419,27 @@ def test_results_do_not_depend_on_first_width_or_block_cap(monkeypatch, tau,
         monkeypatch.setattr(sim, "_later_width", lambda p, later=later: later)
         np.testing.assert_array_equal(_replication_draws(p, 300, 8),
                                       expected)
+
+
+@pytest.mark.parametrize("tau", [0.2, math.inf])
+def test_both_scan_forms_give_the_same_draws(monkeypatch, tau):
+    # the kernel scans row by row from _ROW_SCAN_STREAMS streams up and
+    # down each column below; the form is work-only.  Each cut-off forces
+    # one form on every queue: three chunks of replications, and single
+    # columns cut short by n_block or by a timeout, in blocks of at most
+    # 100 transactions, or 1 for a chunk
+    p = SystemParams(tau=tau)
+    monkeypatch.setattr(sim, "_CHUNK_ELEMENTS", 100)
+    seen = []
+    for cut in (1, 10**9):
+        monkeypatch.setattr(sim, "_ROW_SCAN_STREAMS", cut)
+        seen.append((_replication_draws(p, 2 * sim._CHUNK_REPS + 5, 3),
+                     [run_leader_batching(replace(p, n_block=n_block), n,
+                                          RandomStreams.from_seed(n))
+                      for n, n_block in ((129, 129), (300, 200), (400, 400))]))
+    (by_row, batches_by_row), (by_column, batches_by_column) = seen
+    np.testing.assert_array_equal(by_row, by_column)
+    assert batches_by_row == batches_by_column
 
 
 @pytest.fixture

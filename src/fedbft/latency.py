@@ -160,7 +160,9 @@ def optimal_lambda(f: int, n_block: int, mu: float) -> float:
         raise ValueError("f must be >= 1")
     if n_block == 4 * f:
         raise ValueError("degenerate denominator: n_block must differ from 4f")
-    lam_star = (-8 * f * mu + 4 * mu * math.sqrt(f * n_block)) / (2 * (n_block - 4 * f))
+    # lambda*/mu depends on f and n_block alone; scaling it by mu last
+    # overflows nowhere that lambda* is finite
+    lam_star = mu * ((-8 * f + 4 * math.sqrt(f * n_block)) / (2 * (n_block - 4 * f)))
     if not 0 < lam_star < mu:
         raise ValueError("optimal rate outside stable region (0, mu)")
     return lam_star

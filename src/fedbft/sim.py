@@ -33,8 +33,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .data import Dataset, EnterpriseData
-from .domain import (ALL_FIELDS, COMPONENT_FIELDS, Block, ExperimentStats,
-                     LatencyBreakdown, LocalUpdateTx, SystemParams)
+from .domain import (ALL_FIELDS, Block, ExperimentStats, LatencyBreakdown,
+                     LocalUpdateTx, SystemParams)
 from .fl import (GlobalModel, accuracy, aggregate_global, global_full_gradient,
                  pooled_mean_loss, svrg_local_cycle, verify_update)
 from . import latency
@@ -491,17 +491,26 @@ def _check_experiment(p: SystemParams, replications: int,
     latency.t_total(p, n_samples, p.n_block)
 
 
-def _stat_row(values: np.ndarray) -> tuple[float, float]:
-    mean = float(values.mean())
-    if values.size < 2:
+def _stat_row(values, n: int) -> tuple[float, float]:
+    """Mean and standard error of n replications, from an array of their n
+    values or from the one value they all share.
+
+    Each value's deviation from the first is scaled by a power of two,
+    which is exact, so that the largest is below 1 and no sum or square
+    overflows; then they are summed (Chan, Golub & LeVeque, Am. Stat. 37,
+    1983).  Equal values report that value and a standard error of 0, and
+    one replication a standard error of NaN.
+    """
+    values = np.atleast_1d(values)
+    # the range bounds every deviation from the first value
+    exp = math.frexp(float(np.ptp(values)))[1]
+    dev = np.ldexp(values - values[0], -exp)
+    shift = float(dev.sum()) / n
+    mean = float(values[0]) + math.ldexp(shift, exp)
+    if n < 2:
         return mean, math.nan
-    with np.errstate(over="ignore"):
-        sd = float(values.std(ddof=1))
-    if sd == math.inf:
-        # finite deviations whose squares overflow: scale them to at most 1
-        scale = float(np.abs(values).max())
-        sd = scale * float((values / scale).std(ddof=1))
-    return mean, sd / math.sqrt(values.size)
+    var = float(np.square(dev - shift).sum()) / (n - 1)
+    return mean, math.ldexp(math.sqrt(var / n), exp)
 
 
 def run_experiment(
@@ -518,20 +527,21 @@ def run_experiment(
     A replication's prediction is ``latency.t_total`` at its realized b,
     evaluated in one call over the array of every replication's b; its
     measurement is that breakdown with the three consensus phases replaced
-    by simulated ones.  Every field, the four sums included, gets
-    a mean, a standard error, the mean prediction and a relative error,
-    NaN where that prediction is 0.
+    by simulated ones.  A component that does not depend on b stays the
+    one value every replication shares.  Every field, the four sums
+    included, gets a mean and a standard error (``_stat_row``), the mean
+    prediction and a relative error, NaN where that prediction is 0.
     """
     _check_experiment(p, replications, n_samples)
     bs, pre, prep, com = _replication_draws(p, replications, master_seed).T
     model = latency.t_total(p, n_samples, bs)
-    ana = LatencyBreakdown(*(np.full(bs.shape, getattr(model, name))
-                             for name in COMPONENT_FIELDS))
-    sim = replace(ana, t_preprepare=pre, t_prepare=prep, t_commit=com)
+    sim = replace(model, t_preprepare=pre, t_prepare=prep, t_commit=com)
 
-    rows = {name: _stat_row(getattr(sim, name)) for name in ALL_FIELDS}
+    rows = {name: _stat_row(getattr(sim, name), replications)
+            for name in ALL_FIELDS}
     mean = {name: m for name, (m, _) in rows.items()}
-    analytic = {name: float(getattr(ana, name).mean()) for name in ALL_FIELDS}
+    analytic = {name: _stat_row(getattr(model, name), replications)[0]
+                for name in ALL_FIELDS}
     return ExperimentStats(
         mean=mean,
         std_err={n: se for n, (_, se) in rows.items()},

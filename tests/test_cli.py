@@ -261,9 +261,10 @@ def test_optimal_lambda_agrees_with_grid(capsys):
     assert abs(argmin - star) <= step
 
 
-@pytest.mark.parametrize("mu", ["1e200", "1e300"])
+@pytest.mark.parametrize("mu", ["1e200", "1e300", "1e307"])
 def test_optimal_lambda_at_a_huge_mu_agrees_with_grid(mu, tmp_path, capsys):
-    # lambda (mu - lambda) overflows on a grid in tx/s; in units of mu,
+    # lambda (mu - lambda) overflows on a grid in tx/s, and 4 mu
+    # sqrt(f n_block) in the closed form at mu 1e307; in units of mu,
     # lambda/mu, nothing does
     cfg = tmp_path / "huge_mu.cfg"
     cfg.write_text(f"mu={mu}\n")

@@ -11,9 +11,13 @@ version 0.5.0 moved the acceptance-5 CSV, in the 12th digit of some
 cells, and the digest chain; the fl-adversary CSV kept every byte.  The
 simulate and sweep CSVs pin the stream contract README "Determinism" also
 sets out: a stationary start and per-chunk seeding, with each chunk drawn
-column-major since version 0.7.0, which rewrote them once.  A faster or
-smaller implementation must leave every byte unchanged.
+column-major since version 0.7.0, which rewrote them once.  The two
+simulate CSVs were rewritten once more at version 0.9.0, where a component
+every replication shares took a standard error of exactly 0 in place of
+rounding noise.  A faster or smaller implementation must leave every byte
+unchanged.
 """
+import difflib
 import hashlib
 from pathlib import Path
 
@@ -52,6 +56,15 @@ SIM_SHAPES = {
 }
 
 
+def line_diff(golden, want: bytes, got: bytes) -> str:
+    """The CSV lines that differ, or a note when only line endings do."""
+    diff = difflib.unified_diff(
+        want.decode(errors="replace").splitlines(),
+        got.decode(errors="replace").splitlines(),
+        f"tests/data/{golden}", "this run", lineterm="", n=0)
+    return "\n".join(diff) or "the lines match; their endings differ"
+
+
 def assert_matches_golden(golden, config, argv, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)
@@ -59,7 +72,8 @@ def assert_matches_golden(golden, config, argv, tmp_path, capsys):
     code = main([*argv, "--config", str(cfg), "--seed", "0", "--out", str(out)])
     capsys.readouterr()
     assert code == 0
-    assert out.read_bytes() == (DATA / golden).read_bytes()
+    got, want = out.read_bytes(), (DATA / golden).read_bytes()
+    assert got == want, line_diff(golden, want, got)
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))

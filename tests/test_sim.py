@@ -1,5 +1,6 @@
 """Random draws, leader batching, voting rounds, and the replication harness."""
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -753,10 +754,56 @@ def test_standard_error_survives_squares_that_overflow():
     values = np.array([1.0, 3.0, 2.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        mean, se = sim._stat_row(values * 1e200)
+        mean, se = sim._stat_row(values * 1e200, 3)
     assert mean == pytest.approx(2e200, rel=1e-15)
     assert se == pytest.approx(1e200 / math.sqrt(3), rel=1e-15)
-    assert sim._stat_row(values) == (2.0, 1 / math.sqrt(3))
+    # the correctly rounded 1/sqrt(3)
+    assert sim._stat_row(values, 3) == (2.0, math.sqrt(1 / 3))
+
+
+@pytest.mark.parametrize("values, n, expected", [
+    # one value shared by every replication
+    (0.005, 1, 0.005),
+    (0.005, 3, 0.005),
+    (5e306, 10_000, 5e306),
+    # equal values; four of the largest float sum past the float range
+    (np.full(4, 0.001), 4, 0.001),
+    (np.full(4, sys.float_info.max), 4, sys.float_info.max),
+])
+def test_shared_or_equal_values_report_their_value_and_no_spread(values, n,
+                                                                 expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean, se = sim._stat_row(values, n)
+    assert mean == expected
+    if n == 1:
+        assert se is math.nan
+    else:
+        assert se == 0.0
+
+
+def test_experiment_reports_shared_components_exactly():
+    # at tau 10 every block fills (b = 100), so every component but the
+    # three simulated phases is one value shared by all replications
+    p = SystemParams(tau=10)
+    stats = run_experiment(p, 2000, 0)
+    model = latency.t_total(p, 500, p.n_block)
+    for name in ("t_local", "t_up", "t_dn", "t_global", "t_update",
+                 "t_commun"):
+        assert stats.std_err[name] == 0.0
+        assert stats.mean[name] == stats.analytic[name] == getattr(model, name)
+
+
+def test_experiment_mean_of_a_huge_shared_component_is_finite():
+    # t_local is 5e306 s: 300 copies of it once summed past the float range
+    p = SystemParams(f_c=1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stats = run_experiment(p, 300, 0)
+    t_local = latency.t_local_update(p.delta_d, 500, p.f_c)
+    assert stats.mean["t_local"] == stats.analytic["t_local"] == t_local
+    assert stats.std_err["t_local"] == 0.0
+    assert all(math.isfinite(stats.mean[n]) for n in ALL_FIELDS)
 
 
 def test_experiment_converges_toward_formula():

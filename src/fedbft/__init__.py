@@ -2,6 +2,6 @@
 
 from .domain import DEFAULT_PARAMS, SystemParams
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 __all__ = ["DEFAULT_PARAMS", "SystemParams", "__version__"]

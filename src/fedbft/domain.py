@@ -271,15 +271,18 @@ class LatencyBreakdown:
     t_global: float
 
     def __post_init__(self) -> None:
-        for name in COMPONENT_FIELDS:
-            if (np.asarray(getattr(self, name)) < 0).any():
+        values = [getattr(self, name) for name in COMPONENT_FIELDS]
+        # seven Python floats take plain comparisons, arrays numpy's
+        scalar = all(type(v) is float for v in values)
+        for name, v in zip(COMPONENT_FIELDS, values):
+            if (v < 0) if scalar else (np.asarray(v) < 0).any():
                 raise ValueError(f"{name} must be >= 0")
         # no component is negative here, so a NaN or inf component leaves
         # the sum non-finite, and so does a sum of finite ones that overflows
-        if not np.isfinite(self.t_total).all():
-            bad = next((name for name in COMPONENT_FIELDS
-                        if not np.isfinite(getattr(self, name)).all()),
-                       "t_total")
+        finite = math.isfinite if scalar else lambda v: np.isfinite(v).all()
+        if not finite(self.t_total):
+            bad = next((name for name, v in zip(COMPONENT_FIELDS, values)
+                        if not finite(v)), "t_total")
             raise ValueError(f"{bad} must be finite")
 
     @property

@@ -18,7 +18,7 @@ peer, each phase the sum of its vote gaps and message processing draws.
 ``run_leader_batching`` gives the block's size and sojourn total,
 ``run_pbft_round`` its prepare and commit delays.  ``run_training`` repeats
 cycles until the stop rule.  ``run_experiment`` replicates the pipeline in
-chunks of 256 streams, each queue started in its exact stationary state, and
+chunks of 512 streams, each queue started in its exact stationary state, and
 sets the measured delays beside ``latency.t_total`` at each realized b;
 ``run_sweep`` does so at each point of a parameter grid.  README
 "Determinism" sets out the draw contract.
@@ -88,9 +88,9 @@ def sample_exponential(rate: float, rng: np.random.Generator, size=None,
 
 # replications per seeded chunk, a constant of the stream contract, and
 # drawn elements per block of transactions, which the output ignores: 128
-# transactions of a chunk's 256 streams
-_CHUNK_REPS = 256
-_CHUNK_ELEMENTS = 1 << 15
+# transactions of a chunk's 512 streams
+_CHUNK_REPS = 512
+_CHUNK_ELEMENTS = 1 << 16
 # streams from which the kernel scans row by row, not down each column: over
 # 36 rows an accumulate took 0.8 us at 1 stream and 33 us at 256, the row
 # loop 33 and 15 us (2-core host); they cross at about 128 streams
@@ -101,10 +101,11 @@ class _Queue:
     """FIFO departures and the seal rule: the simulator's one queue kernel.
 
     It serves many streams at once, one block of transactions at a time.
-    ``buf`` is a (5, 1 + width, streams) float64 buffer of arrival times A,
+    ``buf`` is a (5, 1 + width, columns) float64 buffer of arrival times A,
     service times S, cumulative service C, departures D and sojourns, and
-    row k of each holds the k-th transaction of every stream, so a block's
-    rows are contiguous.  D_i = max(A_i, D_{i-1}) + S_i is evaluated as
+    row k of each holds the k-th transaction of every column, so a block's
+    rows are contiguous.  Every column is drawn; the leading ones, the
+    streams, are served.  D_i = max(A_i, D_{i-1}) + S_i is evaluated as
     C_i + max_{j<=i}(A_j - C_j + S_j) by four scans (``_scan``).  Row 0
     carries the state at the last transaction served: A[0] the last
     arrival, C[0] the cumulative service, D[0] the running maximum and the
@@ -118,21 +119,26 @@ class _Queue:
     """
 
     def __init__(self, p: SystemParams, buf: np.ndarray):
-        self.p, self.buf = p, buf
-        # row views of A, S, C, D and the sojourns, built as far as served
+        # ``view`` is the served columns of ``buf``, and ``rows`` row views
+        # of their A, S, C, D and sojourns, built as far as served
+        self.p, self.buf, self.view = p, buf, buf
         self.rows: list[list[np.ndarray]] = [[]]
         self.start()
 
-    def start(self) -> None:
-        """Empty the queue for a new set of streams."""
-        self.buf[:, 0] = 0.0
-        self.buf[3, 0] = -math.inf
+    def start(self, streams: int | None = None) -> None:
+        """Empty the queue for a new set of streams: the leading
+        ``streams`` columns, or all of them."""
+        view = self.buf[:, :, :streams]
+        if view.shape != self.view.shape:
+            self.view, self.rows = view, [[]]
+        view[:, 0] = 0.0
+        view[3, 0] = -math.inf
         # the block size so far of each stream
-        self.b = np.zeros(self.buf.shape[2], dtype=np.intp)
+        self.b = np.zeros(view.shape[2], dtype=np.intp)
         self.timeout_at = None
 
     def columns(self, w: int) -> tuple[np.ndarray, np.ndarray]:
-        """The (w, streams) rows for the next block's gaps and services."""
+        """The (w, columns) rows for the next block's gaps and services."""
         return self.buf[0, 1:w + 1], self.buf[1, 1:w + 1]
 
     def _scan(self, ufunc, src: int, dst: int, w: int) -> None:
@@ -140,14 +146,14 @@ class _Queue:
         ``src``) for i = 1..w from row 0's carry, which then takes row w:
         by row views kept from call to call, or, below ``_ROW_SCAN_STREAMS``
         streams, by one accumulate from the carry put in ``src``'s row 0."""
-        out = self.buf[dst, :w + 1]
-        if self.buf.shape[2] < _ROW_SCAN_STREAMS:
-            x = self.buf[src, :w + 1]
+        out = self.view[dst, :w + 1]
+        if self.view.shape[2] < _ROW_SCAN_STREAMS:
+            x = self.view[src, :w + 1]
             x[0] = out[0]
             ufunc.accumulate(x, axis=0, out=out)
         else:
             if len(self.rows[0]) <= w:
-                self.rows = [list(x) for x in self.buf[:, :w + 1]]
+                self.rows = [list(x) for x in self.view[:, :w + 1]]
             s, d = self.rows[src], self.rows[dst]
             for i in range(1, w + 1):
                 ufunc(d[i - 1], s[i], out=d[i])
@@ -157,7 +163,7 @@ class _Queue:
         """Serve the w transactions filled in through ``columns``; return
         whether every stream's last arrival is past its timeout, after which
         no later transaction can join a block."""
-        A, S, C, D, T = self.buf[:, 1:w + 1]
+        A, S, C, D, T = self.view[:, 1:w + 1]
         self._scan(np.add, 0, 0, w)
         self._scan(np.add, 1, 2, w)
         np.subtract(A, C, out=D)
@@ -176,38 +182,40 @@ class _Queue:
         np.subtract(D, A, out=T)
         T *= served
         self._scan(np.add, 4, 4, w)  # each block's sojourns, in arrival order
-        return bool((self.buf[0, 0] > self.timeout_at).all())
+        return bool((self.view[0, 0] > self.timeout_at).all())
 
     @property
     def sojourn_total(self) -> np.ndarray:
-        return self.buf[4, 0]
+        return self.view[4, 0]
 
 
 def _first_width(p: SystemParams) -> int:
     """Transactions a chunk draws first: lambda tau + 3 sqrt(lambda tau) +
     3, or all n_block with no timeout.  A chunk's reach is 2 plus the
-    largest of its 256 Poisson(lambda tau) arrival counts within a
+    largest of its 512 Poisson(lambda tau) arrival counts within a
     timeout.  For lambda tau from 0.01 to 100 this width lies between
     the reach's median and 80th percentile, or one row below the median
-    (35 and 37 rows at lambda tau = 20, where it is 36)."""
+    (37 and 38 rows at lambda tau = 20, where it is 36)."""
     reach = p.lam * p.tau
     return int(min(p.n_block, reach + 3 * math.sqrt(reach) + 3))
 
 
 def _later_width(p: SystemParams) -> int:
     """Transactions a chunk draws next if its first block falls short:
-    sqrt(lambda tau) + 2.  The two blocks cover the reach of over 99 % of
-    chunks for lambda tau from 0.01 to 100.  n_block bounds it, so it
-    stays finite at tau = inf."""
-    return int(min(p.n_block, math.sqrt(p.lam * p.tau) + 2))
+    sqrt(lambda tau) / 4 + 2.  For lambda tau from 0.01 to 100 the two
+    blocks cover the reach of at least 74 % of chunks, and a third, twice
+    as wide, that of at least 97 % (89 % and 99.9 % at lambda tau = 20).
+    n_block bounds it, so it stays finite at tau = inf."""
+    return int(min(p.n_block, math.sqrt(p.lam * p.tau) / 4 + 2))
 
 
 def _serve_chunk(p: SystemParams, queue: _Queue, streams: RandomStreams,
                  n: int, initial=0.0) -> None:
-    """Draw n transactions for every stream of ``queue`` and seal a block.
+    """Draw n transactions for every column of a started ``queue`` and
+    seal a block for each of its streams.
 
     ``streams`` gives the gaps and the services one transaction at a time
-    across the queue's streams, and ``initial`` is added to the first
+    across the queue's columns, and ``initial`` is added to the first
     services.  The first min(n, n_block) are drawn and served in blocks
     that fit the queue: ``_first_width``, ``_later_width``, then doubling.
     Once every last arrival is past its timeout, each stream skips the
@@ -215,7 +223,6 @@ def _serve_chunk(p: SystemParams, queue: _Queue, streams: RandomStreams,
     """
     columns, cap = queue.buf.shape[2], queue.buf.shape[1] - 1
     m = min(n, p.n_block)
-    queue.start()
     done, w = 0, _first_width(p)
     while done < m:
         w = min(w, cap, m - done)
@@ -456,18 +463,20 @@ def _replication_draws(p: SystemParams, replications: int,
     c)`` one transaction at a time: R initial waits from the services
     stream, then ``_serve_chunk``'s n_block transactions and
     ``_voting_round``'s draws, R columns each.  A short last chunk draws
-    all R columns.
+    all R columns but serves only the leading ones the run keeps.
     """
     R, cap = _CHUNK_REPS, max(1, _CHUNK_ELEMENTS // _CHUNK_REPS)
     draws = np.empty((replications, 4))
     queue = _Queue(p, np.empty((5, min(p.n_block, cap) + 1, R)))
     for first in range(0, replications, R):
+        rows = min(R, replications - first)
         streams = RandomStreams.for_replication(master_seed, first // R)
         initial = _initial_wait(p, sample_exponential(p.mu, streams.services, R))
+        queue.start(rows)
         _serve_chunk(p, queue, streams, p.n_block, initial)
-        rows = min(R, replications - first)
         draws[first:first + rows] = np.transpose(
-            (queue.b, queue.sojourn_total, *_voting_round(p, streams, R)))[:rows]
+            (queue.b, queue.sojourn_total,
+             *_voting_round(p, streams, R)[:, :rows]))
     return draws
 
 

@@ -421,11 +421,19 @@ def test_fl_run_rejects_non_integer_adversary_ids(capsys):
                    "ids, got '1,x'\n")
 
 
+def too_many_draws(reps: int) -> str:
+    """The error for ``reps`` replications at n_block 10^6 and f 1, which
+    draw whole chunks of ``sim._CHUNK_REPS``."""
+    R = sim._CHUNK_REPS
+    return (f"replications x draws per replication must be <= 1073741824, "
+            f"got {-(-reps // R) * R} x 2000011; a run draws whole chunks "
+            f"of {R} replications")
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--reps", "1000000000000000"], "replications must be <= 1000000"),
     (["--reps", "1000000", "--config", "{max_n_block}"],
-     "replications x draws per replication must be <= 1073741824, "
-     "got 1000192 x 2000011; a run draws whole chunks of 256 replications"),
+     too_many_draws(1_000_000)),
 ])
 def test_simulate_caps_reps_and_draws(flags, message, tmp_path, capsys):
     cfg = tmp_path / "max_n_block.cfg"
@@ -448,9 +456,7 @@ def test_sweep_checks_every_point_before_the_first_runs(tmp_path, capsys,
                               "--reps", "2000"], capsys)
     assert code == 1
     assert out == ""
-    assert err == ("error: replications x draws per replication must be <= "
-                   "1073741824, got 2048 x 2000011; a run draws whole chunks "
-                   "of 256 replications\n")
+    assert err == f"error: {too_many_draws(2000)}\n"
     # the second point, n_block = 1000, overflows t_dn = (h + b delta_m)/C
     cfg = tmp_path / "big_model.cfg"
     cfg.write_text("delta_m=1e306\n")

@@ -221,6 +221,36 @@ def test_breakdown_rejects_non_finite_values():
         LatencyBreakdown(1e308, 0, 0, 0, 0, 0, 1e308)
 
 
+def breakdown_error(values) -> str:
+    with pytest.raises(ValueError) as caught:
+        LatencyBreakdown(**values)
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("name", COMPONENT_FIELDS)
+@pytest.mark.parametrize("bad, message", [
+    (-1.0, "must be >= 0"), (-math.inf, "must be >= 0"),
+    (math.nan, "must be finite"), (math.inf, "must be finite")])
+def test_a_breakdown_of_floats_gives_the_array_messages(name, bad, message):
+    # seven Python floats are checked without numpy, with the messages a
+    # breakdown of one-entry arrays gives
+    values = dict.fromkeys(COMPONENT_FIELDS, 0.5)
+    values[name] = bad
+    assert breakdown_error(values) == f"{name} {message}"
+    arrays = {key: np.array([value]) for key, value in values.items()}
+    assert breakdown_error(arrays) == f"{name} {message}"
+
+
+def test_breakdown_of_floats_checks_every_sign_before_finiteness():
+    # a NaN does not hide a later negative component, and finite
+    # components whose sum overflows name the total
+    values = dict.fromkeys(COMPONENT_FIELDS, 0.5)
+    values.update(t_local=math.nan, t_dn=-1.0)
+    assert breakdown_error(values) == "t_dn must be >= 0"
+    values = dict.fromkeys(COMPONENT_FIELDS, 1e308)
+    assert breakdown_error(values) == "t_total must be finite"
+
+
 def test_component_field_order_matches_pipeline():
     assert COMPONENT_FIELDS == ("t_local", "t_up", "t_preprepare",
                                 "t_prepare", "t_commit", "t_dn", "t_global")

@@ -14,8 +14,9 @@ sets out: a stationary start and per-chunk seeding, with each chunk drawn
 column-major since version 0.7.0, which rewrote them once.  The two
 simulate CSVs were rewritten once more at version 0.9.0, where a component
 every replication shares took a standard error of exactly 0 in place of
-rounding noise.  A faster or smaller implementation must leave every byte
-unchanged.
+rounding noise, and the simulate and sweep CSVs once at version 0.10.0,
+where the chunk size went from 256 to 512 replications.  A faster or
+smaller implementation must leave every byte unchanged.
 """
 import difflib
 import hashlib

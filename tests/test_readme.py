@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from fedbft import sim
 from fedbft.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,3 +46,9 @@ def test_readme_flags_are_options_of_some_command():
     options = {flag for sub in commands.values()
                for flag in sub._option_string_actions}
     assert sorted(named - options) == []
+
+
+def test_readme_chunk_size_is_the_simulators():
+    text = (ROOT / "README.md").read_text()
+    stated = re.findall(r"The chunk size\s+R\s+=\s+(\d+)", text)
+    assert stated == [str(sim._CHUNK_REPS)]

@@ -489,6 +489,27 @@ def test_a_longer_run_extends_a_shorter_one():
                                   _replication_draws(p, 5, 9))
 
 
+@pytest.mark.parametrize("kept", [5, 300])
+def test_a_short_last_chunk_serves_only_the_streams_it_keeps(monkeypatch,
+                                                             kept):
+    # the last chunk draws all its columns but serves the leading 5, down
+    # each column, or 300, row by row; its rows are those of a whole chunk
+    p = SystemParams(tau=0.2)
+    R = sim._CHUNK_REPS
+    whole = _replication_draws(p, 2 * R, 9)
+    served = []
+    serve = sim._Queue.serve
+
+    def counted(queue, w):
+        served.append(queue.sojourn_total.size)
+        return serve(queue, w)
+
+    monkeypatch.setattr(sim._Queue, "serve", counted)
+    np.testing.assert_array_equal(_replication_draws(p, R + kept, 9),
+                                  whole[:R + kept])
+    assert sorted(set(served)) == [kept, R]
+
+
 @pytest.mark.parametrize("key", [
     0, 42, 2**32 - 1, 2**32, 2**64 + 5,
     (7,), (42, 7), (3, 1, 99), (1, 2, 3, 4), (5, 4, 3, 2, 1)])
@@ -735,11 +756,15 @@ def test_experiment_is_deterministic_in_the_seed():
     assert a == b
 
 
+# the replications that 10^6 draw, in whole chunks
+DRAWN_OF_A_MILLION = -(-10**6 // sim._CHUNK_REPS) * sim._CHUNK_REPS
+
+
 @pytest.mark.parametrize("reps, n_block, message", [
     (10**15, 100, "replications must be <= 1000000"),
     (10**6, 10**6, "replications x draws per replication must be <= "
-                   "1073741824, got 1000192 x 2000011; a run draws whole "
-                   "chunks of 256 replications"),
+                   f"1073741824, got {DRAWN_OF_A_MILLION} x 2000011; a run "
+                   f"draws whole chunks of {sim._CHUNK_REPS} replications"),
 ])
 def test_experiment_caps_reps_and_draws_before_allocating(reps, n_block,
                                                          message):

@@ -49,5 +49,5 @@ def test_traced_job_calls_exactly_the_predicted_layers(kind, argv, tmp_path):
     assert result["code"] == 0
     assert result["problems"] == []
     if kind == "sim":
-        # replications are seeded per chunk of 256: 50 read one chunk
+        # replications are seeded per chunk of 512: 50 read one chunk
         assert result["calls"]["sim.RandomStreams.for_replication"] == 1

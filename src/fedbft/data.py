@@ -16,6 +16,9 @@ __all__ = [
     "read_enterprises",
 ]
 
+# Share of a dataset's rows, at least one, that split_dataset holds out.
+TEST_FRACTION = 0.2
+
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
@@ -101,11 +104,9 @@ def two_class_gaussian(
     return Dataset(x, y[order], owner)
 
 
-def split_dataset(ds: Dataset, test_fraction: float = 0.2) -> EnterpriseData:
+def split_dataset(ds: Dataset) -> EnterpriseData:
     """Deterministic head/tail split; the last rows become the test set."""
-    if not 0 < test_fraction < 1:
-        raise ValueError("test_fraction must be in (0, 1)")
-    n_test = max(1, int(round(len(ds) * test_fraction)))
+    n_test = max(1, int(round(len(ds) * TEST_FRACTION)))
     if n_test >= len(ds):
         raise ValueError("dataset too small to split")
     cut = len(ds) - n_test

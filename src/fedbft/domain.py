@@ -2,7 +2,9 @@
 
 Everything here is an immutable record.  Weight vectors are stored as
 read-only float64 arrays so a constructed transaction or block can be
-shared freely between the trainer, the verifier and the simulator.
+shared freely between the trainer, the verifier and the simulator.  A
+transaction built without a digest signs its own payload; one built with
+a digest keeps it, and ``digest_ok`` checks it against the payload.
 """
 from __future__ import annotations
 
@@ -161,43 +163,32 @@ def _frozen_array(values: Sequence[float] | np.ndarray) -> np.ndarray:
     return arr
 
 
-def tx_payload_bytes(
-    enterprise_id: int,
-    weights: np.ndarray,
-    shared_gradient: np.ndarray,
-    n_samples: int,
-    created_at: float,
-) -> bytes:
+def tx_payload_bytes(tx: LocalUpdateTx) -> bytes:
     """Canonical little-endian serialization of a transaction payload."""
-    w = np.ascontiguousarray(weights, dtype="<f8")
-    g = np.ascontiguousarray(shared_gradient, dtype="<f8")
-    head = struct.pack("<qqdqq", enterprise_id, n_samples, created_at, w.size, g.size)
+    w = np.ascontiguousarray(tx.weights, dtype="<f8")
+    g = np.ascontiguousarray(tx.shared_gradient, dtype="<f8")
+    head = struct.pack("<qqdqq", tx.enterprise_id, tx.n_samples, tx.created_at, w.size, g.size)
     return head + w.tobytes() + g.tobytes()
 
 
-def tx_digest(
-    enterprise_id: int,
-    weights: np.ndarray,
-    shared_gradient: np.ndarray,
-    n_samples: int,
-    created_at: float,
-) -> str:
+def tx_digest(tx: LocalUpdateTx) -> str:
     """SHA-256 over the canonical payload bytes; any field change changes it."""
-    payload = tx_payload_bytes(enterprise_id, weights, shared_gradient,
-                               n_samples, created_at)
-    return hashlib.sha256(payload).hexdigest()
+    return hashlib.sha256(tx_payload_bytes(tx)).hexdigest()
 
 
 @dataclass(frozen=True, eq=False)
 class LocalUpdateTx:
-    """One enterprise's signed local update: weights plus shared gradient."""
+    """One enterprise's signed local update: weights plus shared gradient.
+
+    Built without a digest it signs its payload; a digest passed in is kept.
+    """
 
     enterprise_id: int
     weights: np.ndarray
     shared_gradient: np.ndarray
     n_samples: int
     created_at: float
-    digest: str
+    digest: str | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", _frozen_array(self.weights))
@@ -206,25 +197,11 @@ class LocalUpdateTx:
             raise ValueError("weights and shared_gradient must have equal dimension")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-
-    @classmethod
-    def create(
-        cls,
-        enterprise_id: int,
-        weights: np.ndarray,
-        shared_gradient: np.ndarray,
-        n_samples: int,
-        created_at: float,
-    ) -> "LocalUpdateTx":
-        digest = tx_digest(enterprise_id, weights, shared_gradient,
-                           n_samples, created_at)
-        return cls(enterprise_id, weights, shared_gradient, n_samples,
-                   created_at, digest)
+        if self.digest is None:
+            object.__setattr__(self, "digest", tx_digest(self))
 
     def digest_ok(self) -> bool:
-        return self.digest == tx_digest(
-            self.enterprise_id, self.weights, self.shared_gradient,
-            self.n_samples, self.created_at)
+        return self.digest == tx_digest(self)
 
 
 @dataclass(frozen=True, eq=False)

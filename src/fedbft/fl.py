@@ -182,7 +182,7 @@ def svrg_local_cycle(
         raise ValueError("local update diverged; reduce beta")
 
     shared = average_gradient(w, ds)
-    return LocalUpdateTx.create(ds.owner, w, shared, n_i, created_at)
+    return LocalUpdateTx(ds.owner, w, shared, n_i, created_at)
 
 
 def aggregate_global(w_prev: np.ndarray, txs: Sequence[LocalUpdateTx]) -> np.ndarray:

@@ -329,7 +329,7 @@ def run_cycle(
     for idx, ent in enumerate(enterprises):
         created = latency.t_local_update(p.delta_d, len(ent.train), p.f_c)
         if idx in adversaries:
-            txs.append(LocalUpdateTx.create(
+            txs.append(LocalUpdateTx(
                 idx, streams.data.standard_normal(dim),
                 streams.data.standard_normal(dim), len(ent.train), created))
         else:

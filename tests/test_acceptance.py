@@ -150,15 +150,15 @@ def test_5_learning_correctness(announce, tmp_path):
         # aggregation: fixed point, single participant, permutation order
         from fedbft.domain import LocalUpdateTx
         w_prev = rng.normal(size=3)
-        same = [LocalUpdateTx.create(i, w_prev, np.zeros(3), 5 + i, 0.0)
+        same = [LocalUpdateTx(i, w_prev, np.zeros(3), 5 + i, 0.0)
                 for i in range(3)]
         np.testing.assert_allclose(aggregate_global(w_prev, same), w_prev,
                                    rtol=1e-12)
-        solo = LocalUpdateTx.create(0, rng.normal(size=3), np.zeros(3), 9, 0.0)
+        solo = LocalUpdateTx(0, rng.normal(size=3), np.zeros(3), 9, 0.0)
         np.testing.assert_allclose(aggregate_global(w_prev, [solo]),
                                    solo.weights, rtol=1e-12)
-        mixed = [LocalUpdateTx.create(i, rng.normal(size=3), np.zeros(3),
-                                      1 + 3 * i, 0.0) for i in range(4)]
+        mixed = [LocalUpdateTx(i, rng.normal(size=3), np.zeros(3),
+                               1 + 3 * i, 0.0) for i in range(4)]
         np.testing.assert_allclose(aggregate_global(w_prev, mixed),
                                    aggregate_global(w_prev, mixed[::-1]),
                                    rtol=1e-12)

@@ -115,7 +115,7 @@ def test_gaussian_argument_errors():
 
 def test_split_is_deterministic_tail():
     ds = two_class_gaussian(10, 2, 1.0, np.random.default_rng(2), owner=4)
-    ent = split_dataset(ds, test_fraction=0.2)
+    ent = split_dataset(ds)
     assert len(ent.train) == 8 and len(ent.test) == 2
     np.testing.assert_array_equal(ent.test.x, ds.x[8:])
     np.testing.assert_array_equal(ent.train.y, ds.y[:8])
@@ -123,11 +123,9 @@ def test_split_is_deterministic_tail():
 
 
 def test_split_errors():
-    ds = two_class_gaussian(4, 2, 1.0, np.random.default_rng(3))
-    with pytest.raises(ValueError, match="test_fraction"):
-        split_dataset(ds, test_fraction=1.0)
+    ds = Dataset(np.ones((1, 2)), np.array([1]))
     with pytest.raises(ValueError, match="too small"):
-        split_dataset(ds, test_fraction=0.9)
+        split_dataset(ds)
 
 
 def test_enterprise_data_dimension_check():

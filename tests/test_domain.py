@@ -23,7 +23,7 @@ def params_to_text(p: SystemParams) -> str:
 
 
 def make_tx(eid=0, w=(1.0, 2.0), g=(0.1, 0.2), n=10, at=1.5):
-    return LocalUpdateTx.create(eid, np.array(w), np.array(g), n, at)
+    return LocalUpdateTx(eid, np.array(w), np.array(g), n, at)
 
 
 # --- SystemParams validation ---
@@ -112,18 +112,16 @@ def test_config_roundtrip_property(lam, f, n_block, beta):
 
 def test_payload_layout_is_stable():
     # 5 little-endian header words then the two float64 arrays
-    payload = tx_payload_bytes(3, np.array([1.0]), np.array([2.0]), 7, 0.25)
+    payload = tx_payload_bytes(make_tx(eid=3, w=(1.0,), g=(2.0,), n=7, at=0.25))
     assert len(payload) == 40 + 8 + 8
     assert payload[:8] == (3).to_bytes(8, "little")
     assert payload[40:48] == np.float64(1.0).tobytes()
 
 
-def test_create_produces_matching_digest():
+def test_tx_built_without_digest_signs_its_payload():
     tx = make_tx()
     assert tx.digest_ok()
-    assert tx.digest == tx_digest(tx.enterprise_id, tx.weights,
-                                  tx.shared_gradient, tx.n_samples,
-                                  tx.created_at)
+    assert tx.digest == tx_digest(tx)
 
 
 @pytest.mark.parametrize("field,value", [
@@ -147,8 +145,8 @@ def test_digest_detects_weight_tampering():
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8))
 def test_digest_distinguishes_weights_from_gradient(values):
     w = np.array(values)
-    fwd = tx_digest(0, w, np.zeros_like(w), 1, 0.0)
-    rev = tx_digest(0, np.zeros_like(w), w, 1, 0.0)
+    fwd = tx_digest(LocalUpdateTx(0, w, np.zeros_like(w), 1, 0.0))
+    rev = tx_digest(LocalUpdateTx(0, np.zeros_like(w), w, 1, 0.0))
     if np.any(w != 0.0):
         assert fwd != rev
 

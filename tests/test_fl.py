@@ -22,7 +22,7 @@ weight_vecs = arrays(np.float64, 3, elements=st.floats(-50.0, 50.0))
 def tx_of(w, g=None, n=1, eid=0, at=0.0):
     w = np.asarray(w, dtype=np.float64)
     g = np.zeros_like(w) if g is None else np.asarray(g, dtype=np.float64)
-    return LocalUpdateTx.create(eid, w, g, n, at)
+    return LocalUpdateTx(eid, w, g, n, at)
 
 
 # --- loss and gradient ---

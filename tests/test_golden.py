@@ -6,17 +6,11 @@ the step loop, the label folded into its scalars, its logistic through
 math.exp, the anchor terms taken from the gathered rows, and each row's
 dot taken from its block-start gemv less the block's Gram corrections)
 and of the one-gemv dataset gradient, on numpy's BLAS kernels: the fl-run
-rounding contract README "Determinism" sets out.  The blocked pass of
-version 0.5.0 moved the acceptance-5 CSV, in the 12th digit of some
-cells, and the digest chain; the fl-adversary CSV kept every byte.  The
-simulate and sweep CSVs pin the stream contract README "Determinism" also
-sets out: a stationary start and per-chunk seeding, with each chunk drawn
-column-major since version 0.7.0, which rewrote them once.  The two
-simulate CSVs were rewritten once more at version 0.9.0, where a component
-every replication shares took a standard error of exactly 0 in place of
-rounding noise, and the simulate and sweep CSVs once at version 0.10.0,
-where the chunk size went from 256 to 512 replications.  A faster or
-smaller implementation must leave every byte unchanged.
+rounding contract README "Determinism" sets out.  The simulate and sweep
+CSVs pin the stream contract it also sets out: a stationary start and
+per-chunk seeding, each chunk drawn column-major.  Its list of versions
+names each one that moved a golden.  A faster or smaller implementation
+must leave every byte unchanged.
 """
 import difflib
 import hashlib

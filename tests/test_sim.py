@@ -306,7 +306,7 @@ def reference_draws(p, replications, key):
 
 @pytest.mark.parametrize("wider", [0, 3, 50, 1000])
 @pytest.mark.parametrize("tau", [10.0, 1.0, 0.2, 0.005, 1e-9, math.inf])
-def test_fast_replication_equals_event_driven(wider, tau):
+def test_chunked_replication_equals_one_at_a_time_reference(wider, tau):
     # the chunked replication path draws, bit for bit, what one replication
     # at a time reads from its column of its chunk's streams, across a
     # chunk boundary; at 1e-9 every block seals at its first departure,
@@ -458,10 +458,10 @@ def drawn(monkeypatch):
 
 
 def test_timeout_chunks_draw_little_past_their_reach(drawn):
-    # at tau 0.2 a chunk's reach is 2 plus the largest of 256
-    # Poisson(20) arrival counts: 35 rows at the median, 45 at the 99.9th
+    # at tau 0.2 a chunk's reach is 2 plus the largest of 512
+    # Poisson(20) arrival counts: 37 rows at the median, 46 at the 99.9th
     # percentile.  Blocks fitted to the median draw about 38 rows a chunk
-    # (883 712 values); a first block of 45 rows drew 1 034 240
+    # (896 000 values)
     run_experiment(SystemParams(tau=0.2), 10_000, 42)
     assert sum(drawn) <= 900_000
 
@@ -669,9 +669,9 @@ def test_verification_checks_each_test_set_once(monkeypatch):
         checked.clear()
         _, _, block = run_cycle(p, ents, GlobalModel.initial(2), streams)
         tx = block.txs[0]
-        stray = LocalUpdateTx.create(2 * len(ents) + 3, tx.weights,
-                                     tx.shared_gradient, tx.n_samples,
-                                     tx.created_at)
+        stray = LocalUpdateTx(2 * len(ents) + 3, tx.weights,
+                              tx.shared_gradient, tx.n_samples,
+                              tx.created_at)
         assert audit_block(Block.seal([stray], p.n_block), ents, p)
         # every other peer's test set, by brute force over the peers
         for eid in (*range(len(ents)), stray.enterprise_id):

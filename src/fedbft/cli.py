@@ -16,17 +16,14 @@ import sys
 from typing import Optional, Sequence
 
 from . import latency
-from .data import read_enterprises, read_text, split_dataset, two_class_gaussian
+from .data import (MAX_FEATURE_VALUES, read_enterprises, read_text,
+                   split_dataset, two_class_gaussian)
 from .domain import ALL_FIELDS, DEFAULT_PARAMS, SystemParams, parse_params_text
 from .sim import (SWEEPABLE, RandomStreams, run_experiment, run_sweep,
                   run_training)
 
 __all__ = ["main", "parse_config", "format_value", "write_csv"]
 
-# feature values fl-run may synthesize in all, about 130 MB of float64;
-# building them takes up to twice that at its peak, since each set is
-# copied once, on its shuffle or its split, while the original is alive
-MAX_SYNTHETIC_VALUES = 1 << 24
 # the ExperimentStats columns that simulate and sweep write, in order
 _STATS = ("mean", "std_err", "analytic", "rel_error")
 
@@ -87,10 +84,10 @@ def _master_seed(args) -> int:
 
 
 def _capped(args, flag: str) -> int:
-    """The value of a size flag, rejected above ``MAX_SYNTHETIC_VALUES``."""
+    """The value of a size flag, rejected above ``MAX_FEATURE_VALUES``."""
     value = getattr(args, flag.replace("-", "_"))
-    if value > MAX_SYNTHETIC_VALUES:
-        raise ValueError(f"--{flag} must be <= {MAX_SYNTHETIC_VALUES}, "
+    if value > MAX_FEATURE_VALUES:
+        raise ValueError(f"--{flag} must be <= {MAX_FEATURE_VALUES}, "
                          f"got {value}")
     return value
 
@@ -173,9 +170,9 @@ def _synthetic_enterprises(args, streams: RandomStreams):
         _capped(args, flag)
         for flag in ("enterprises", "samples", "holdout", "features"))
     total = (n_ent * n_samples + n_holdout) * n_features
-    if total > MAX_SYNTHETIC_VALUES:
+    if total > MAX_FEATURE_VALUES:
         raise ValueError("(--enterprises x --samples + --holdout) x --features "
-                         f"must be <= {MAX_SYNTHETIC_VALUES}, got {total}")
+                         f"must be <= {MAX_FEATURE_VALUES}, got {total}")
     datasets = [two_class_gaussian(n_samples, n_features, args.separation,
                                    streams.data, owner=i)
                 for i in range(n_ent)]

@@ -18,6 +18,11 @@ __all__ = [
 
 # Share of a dataset's rows, at least one, that split_dataset holds out.
 TEST_FRACTION = 0.2
+# feature values fl-run may synthesize, or read from its data files, in
+# all, about 130 MB of float64; building them takes up to twice that at
+# its peak, since each set is copied once, on its shuffle or its split,
+# while the original is alive
+MAX_FEATURE_VALUES = 1 << 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,10 +133,17 @@ def read_text(path: str, what: str = "") -> str:
     raise ValueError(f"cannot read {what}{path}: {reason}")
 
 
-def read_samples(path: str, owner: int = 0) -> Dataset:
-    """Parse plain-text samples: one per line, the label then the feature values."""
+def read_samples(path: str, owner: int = 0,
+                 budget: int = MAX_FEATURE_VALUES) -> Dataset:
+    """Parse plain-text samples: one per line, the label then the feature values.
+
+    A file of more than ``budget`` feature values, the share of
+    ``MAX_FEATURE_VALUES`` left to it, fails at the line that crosses it,
+    before that row is stored.
+    """
     rows: list[list[float]] = []
     labels: list[int] = []
+    n_values = 0
     for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -144,6 +156,10 @@ def read_samples(path: str, owner: int = 0) -> Dataset:
             raise ValueError(f"need a label and features on line {lineno} of {path}")
         if values[0] not in (-1.0, 1.0):
             raise ValueError(f"label must be -1 or +1 on line {lineno} of {path}")
+        n_values += len(values) - 1
+        if n_values > budget:
+            raise ValueError(f"{path}: data files hold more than "
+                             f"{MAX_FEATURE_VALUES} feature values in all")
         labels.append(int(values[0]))
         rows.append(values[1:])
     if not rows:
@@ -159,10 +175,19 @@ def read_samples(path: str, owner: int = 0) -> Dataset:
 
 def read_enterprises(paths: Sequence[str]) -> tuple[list[EnterpriseData], Dataset]:
     """One enterprise per sample file, split by ``split_dataset``, and the
-    held-out set pooled from their test rows in file order."""
+    held-out set pooled from their test rows in file order.
+
+    The files hold at most ``MAX_FEATURE_VALUES`` feature values in all:
+    each may hold what the files before it left, and the first to cross
+    the cap fails, naming itself.
+    """
     if not paths:
         raise ValueError("no data file given")
-    datasets = [read_samples(path, owner=i) for i, path in enumerate(paths)]
+    datasets = []
+    budget = MAX_FEATURE_VALUES
+    for i, path in enumerate(paths):
+        datasets.append(read_samples(path, owner=i, budget=budget))
+        budget -= datasets[-1].x.size
     if len({d.dim for d in datasets}) != 1:
         raise ValueError("data files disagree on feature count")
     enterprises = [split_dataset(d) for d in datasets]

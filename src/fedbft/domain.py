@@ -168,7 +168,7 @@ def tx_payload_bytes(tx: LocalUpdateTx) -> bytes:
     w = np.ascontiguousarray(tx.weights, dtype="<f8")
     g = np.ascontiguousarray(tx.shared_gradient, dtype="<f8")
     head = struct.pack("<qqdqq", tx.enterprise_id, tx.n_samples, tx.created_at, w.size, g.size)
-    return head + w.tobytes() + g.tobytes()
+    return b"".join((head, w, g))
 
 
 def tx_digest(tx: LocalUpdateTx) -> str:

@@ -71,7 +71,8 @@ def sigmoid(z):
     """Numerically safe logistic function."""
     z = np.asarray(z, dtype=np.float64)
     t = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+    # 1 / (1 + t) for z >= 0 and t / (1 + t) below: one numerator, one divide
+    return np.where(z >= 0, 1.0, t) / (1.0 + t)
 
 
 def _margins(w: np.ndarray, ds: Dataset) -> np.ndarray:
@@ -88,7 +89,8 @@ def average_gradient(w: np.ndarray, ds: Dataset) -> np.ndarray:
 
 
 def mean_loss(w: np.ndarray, ds: Dataset) -> float:
-    return float(np.logaddexp(0.0, _margins(w, ds)).mean())
+    # the pairwise sum that ndarray.mean runs, then its one division
+    return float(np.add.reduce(np.logaddexp(0.0, _margins(w, ds)))) / len(ds)
 
 
 def pooled_mean_loss(w: np.ndarray, datasets: Sequence[Dataset]) -> float:
@@ -151,31 +153,41 @@ def svrg_local_cycle(
     # d_j less sum_{i<j} a_i x_j.x_i from the block's Gram matrix, and u
     # is updated once per block.
     #
+    # Per chunk, the drift terms t*r_k, the signed steps y_k*step and the
+    # labels are taken as float lists, so the step loop multiplies float
+    # by float.  None moves a rounding: numpy converts the int t exactly,
+    # as Python does; y_k = +-1 gives (y_k*step)*v = y_k*(step*v), since
+    # negation commutes with rounding; and -1.0*v is -1*v.
+    #
     # A diverging pass overflows on the way; the isfinite check after it
     # reports that as one error, so the pass runs with numpy's overflow
     # and invalid-value warnings off.
+    exp = math.exp
     with np.errstate(over="ignore", invalid="ignore"):
         c = step * anchor_grad
         u = anchor_w.copy()
         rows = np.empty((min(_CHUNK, p.t_max), ds.dim))
         for t0 in range(0, p.t_max, _CHUNK):
-            ks = rng.integers(n_i, size=min(_CHUNK, p.t_max - t0))
+            n = min(_CHUNK, p.t_max - t0)
+            ks = rng.integers(n_i, size=n)
             # every chunk gathers into one buffer; the indices are in range,
             # so "clip" only skips the checked mode's copy through a temporary
-            xc = np.take(ds.x, ks, axis=0, out=rows[:len(ks)], mode="clip")
+            xc = np.take(ds.x, ks, axis=0, out=rows[:n], mode="clip")
             yc = ds.y[ks]
-            y = yc.tolist()
+            y = yc.astype(np.float64).tolist()
+            ys = (yc * step).tolist()
             sa = sigmoid(yc * xc.dot(anchor_w)).tolist()
-            r = (yc * xc.dot(c)).tolist()
-            for b0 in range(0, len(y), _BLOCK):
+            tr = (np.arange(t0, t0 + n) * (yc * xc.dot(c))).tolist()
+            for b0 in range(0, n, _BLOCK):
                 xb = xc[b0:b0 + _BLOCK]
                 a = []
-                for j, (d, g) in enumerate(zip(xb.dot(u).tolist(),
-                                               xb.dot(xb.T).tolist()), b0):
-                    z = y[j] * (d - sum(map(mul, a, g))) - (t0 + j) * r[j]
-                    e = math.exp(-abs(z))
-                    s = 1.0 / (1.0 + e) if z >= 0 else e / (1.0 + e)
-                    a.append(y[j] * (step * (s - sa[j])))
+                push = a.append
+                for j, d, g in zip(range(b0, b0 + _BLOCK), xb.dot(u).tolist(),
+                                   xb.dot(xb.T).tolist()):
+                    z = y[j] * (d - sum(map(mul, a, g))) - tr[j]
+                    e = exp(-abs(z))
+                    s = 1.0 / (1.0 + e) if z >= 0.0 else e / (1.0 + e)
+                    push(ys[j] * (s - sa[j]))
                 u -= np.dot(a, xb)
         w = u - p.t_max * c
     if not np.isfinite(w).all():
@@ -201,12 +213,16 @@ def aggregate_global(w_prev: np.ndarray, txs: Sequence[LocalUpdateTx]) -> np.nda
 
 
 def accuracy(w: np.ndarray, ds: Dataset) -> float:
-    """Fraction of ds classified correctly by w."""
+    """Fraction of ds classified correctly by w.
+
+    The tie w.x = 0 predicts -1, so a row is right exactly when w.x >= 0
+    matches y < 0; a NaN margin predicts +1.  The exact count over len(ds)
+    is the same double as the mean of the correct-row booleans.
+    """
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (ds.dim,):
         raise ValueError("weight and feature dimensions differ")
-    preds = np.where(ds.x @ w >= 0, -1, 1)
-    return float((preds == ds.y).mean())
+    return np.count_nonzero(np.equal(ds.x @ w >= 0, ds.y < 0)) / len(ds)
 
 
 @dataclass(frozen=True)

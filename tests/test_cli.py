@@ -392,6 +392,15 @@ def test_fl_run_rejects_bad_adversary_id(capsys):
     assert "error: adversary id 9 out of range" in err
 
 
+def test_fl_run_adversary_ids_stop_below_the_enterprise_count(capsys):
+    argv = ["fl-run", "--enterprises", "4", "--samples", "40", "--cycle-cap", "1"]
+    code, _, err = run_cli(argv + ["--adversaries", "3"], capsys)
+    assert code == 0
+    assert err.startswith("result=cycle-cap cycles=1 adversary_blocks=")
+    code, out, err = run_cli(argv + ["--adversaries", "4"], capsys)
+    assert (code, out, err) == (1, "", "error: adversary id 4 out of range\n")
+
+
 @pytest.mark.parametrize("command", [
     ["simulate", "--reps", "2"],
     ["sweep", "--param", "lambda", "--from", "50", "--to", "100", "--step", "50",
@@ -699,6 +708,28 @@ def test_fl_run_rejects_mismatched_data_files(tmp_path, capsys):
     code, _, err = run_cli(["fl-run", "--data", f"{a},{b}"], capsys)
     assert code == 1
     assert "disagree on feature count" in err
+
+
+@pytest.mark.parametrize("cap, err", [
+    (40, "result=cycle-cap cycles=1\n"),
+    # b.txt's 6th row takes the pool to 32 values: it fails there, before
+    # the bad number on its last line is parsed
+    (30, "error: {b}: data files hold more than 30 feature values in all\n"),
+])
+def test_fl_run_caps_the_pooled_values_of_data_files(cap, err, tmp_path,
+                                                      monkeypatch, capsys):
+    rng = np.random.default_rng(2)
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    write_samples(str(a), two_class_gaussian(10, 2, 4.0, rng))
+    write_samples(str(b), two_class_gaussian(10, 2, 4.0, rng))
+    if cap < 40:
+        with open(b, "a") as fh:
+            fh.write("1 0.5 not-a-number\n")
+    monkeypatch.setattr("fedbft.data.MAX_FEATURE_VALUES", cap)
+    code, _, got = run_cli(["fl-run", "--data", f"{a},{b}", "--cycle-cap", "1"],
+                           capsys)
+    assert (code, got) == (0 if cap == 40 else 1, err.format(b=b))
 
 
 @pytest.mark.parametrize("data", [",", ""])

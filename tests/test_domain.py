@@ -8,9 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fedbft.domain import (ALL_FIELDS, Block, COMPONENT_FIELDS,
-                           DEFAULT_PARAMS, LatencyBreakdown, LocalUpdateTx,
-                           SystemParams, parse_params_text, tx_digest,
-                           tx_payload_bytes)
+                           DEFAULT_PARAMS, MAX_F, LatencyBreakdown,
+                           LocalUpdateTx, SystemParams, parse_params_text,
+                           tx_digest, tx_payload_bytes)
 
 CONFIG_KEYS = tuple("lambda" if f.name == "lam" else f.name
                     for f in dataclasses.fields(SystemParams))
@@ -66,6 +66,12 @@ def test_invalid_params_rejected(kwargs, msg):
 def test_f_zero_single_peer_is_valid():
     p = SystemParams(f=0, n_peers=1)
     assert p.n_peers == 1
+
+
+def test_f_at_its_cap_is_valid():
+    assert SystemParams(f=MAX_F, n_peers=3 * MAX_F + 1).f == 100_000
+    with pytest.raises(ValueError, match="f must be <= 100000"):
+        SystemParams(f=MAX_F + 1, n_peers=3 * MAX_F + 4)
 
 
 # --- config text round-trip ---

@@ -480,6 +480,35 @@ def test_accuracy_counting():
     assert accuracy(np.array([-1.0]), perfect) == 1.0
 
 
+def bits(value):
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 7, 2000])
+@pytest.mark.parametrize("dim", [1, 2, 300])
+def test_kernels_match_the_formulas_they_replace_bit_for_bit(dim, n):
+    # accuracy, mean_loss and sigmoid count, sum and divide their own way;
+    # each must give the same float64 bits as the plain array formula
+    rng = np.random.default_rng(100 * dim + n)
+    ds = Dataset(rng.standard_normal((n, dim)), rng.choice([-1, 1], size=n))
+    # w = 0 puts every margin on the tie, which predicts -1; a NaN margin
+    # predicts +1
+    for w in (rng.standard_normal(dim), np.zeros(dim), np.full(dim, np.nan)):
+        old = (np.where(ds.x @ w >= 0, -1, 1) == ds.y).mean()
+        assert bits(accuracy(w, ds)) == bits(old)
+    for w in (rng.standard_normal(dim), np.zeros(dim)):
+        old = np.logaddexp(0, ds.y * (ds.x @ w)).mean()
+        assert bits(mean_loss(w, ds)) == bits(old)
+    edges = [0.0, 1e-300, 1.0, 36.0, 745.0, np.inf]
+    z = np.concatenate([edges, np.negative(edges), [np.nan],
+                        40.0 * rng.standard_normal(n)])
+    t = np.exp(-np.abs(z))
+    old = np.where(z >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+    assert sigmoid(z).tobytes() == old.tobytes()
+    for v in z:
+        assert bits(sigmoid(v)) == bits(sigmoid(np.array([v]))[0])
+
+
 def test_verify_accepts_aligned_update():
     # all four rows classified correctly by w = (-1, 0)
     test = Dataset(np.array([[1.0, 0.0], [2.0, 1.0], [-1.0, 0.5], [-3.0, 0.0]]),

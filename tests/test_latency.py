@@ -128,8 +128,34 @@ def test_grid_argmin_lands_within_one_step():
 def test_grid_argmin_convexity_guard():
     # a fine grid over the defaults stays convex
     latency.argmin_consensus_grid(1, 100, 300.0, 0.1)
+    # grid step mu/4 scans 3 points, the fewest accepted; mu/3 scans 2
+    assert latency.argmin_consensus_grid(1, 100, 300.0, 75.0) in (75.0, 150.0, 225.0)
     with pytest.raises(ValueError, match="too coarse"):
         latency.argmin_consensus_grid(1, 100, 300.0, 100.0)
+
+
+# Each validation boundary below is held on both sides: the last valid
+# value passes and the first invalid one fails.
+
+def test_local_update_takes_one_sample_and_rejects_none():
+    assert latency.t_local_update(1e4, 1, 1e9) == 1e4 / 1e9
+    with pytest.raises(ValueError, match="n_i must be >= 1"):
+        latency.t_local_update(1e4, 0, 1e9)
+
+
+def test_link_capacity_at_the_floor_is_valid():
+    # w * log2(1 + 1) is w exactly, so the capacity is the floor itself
+    assert latency.t_upload(1e4, 1e-12, 1.0) == 1e4 / 1e-12
+    with pytest.raises(ValueError, match="channel capacity below floor"):
+        latency.t_upload(1e4, math.nextafter(1e-12, 0.0), 1.0)
+
+
+def test_grid_stops_one_point_short_of_the_cap():
+    mu = float(latency.MAX_GRID_POINTS)
+    with pytest.raises(ValueError, match="lambda grid exceeds"):
+        latency.argmin_consensus_grid(1, 100, mu, 1.0)
+    argmin = latency.argmin_consensus_grid(1, 100, mu - 1.0, 1.0)
+    assert abs(argmin - latency.optimal_lambda(1, 100, mu - 1.0)) <= 1.0
 
 
 @given(st.integers(1, 400), st.integers(0, 8), rates)

@@ -1,8 +1,10 @@
 """Datasets: binary-labelled feature matrices, synthesis and plain-text IO."""
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -19,25 +21,44 @@ __all__ = [
 # Share of a dataset's rows, at least one, that split_dataset holds out.
 TEST_FRACTION = 0.2
 # feature values fl-run may synthesize, or read from its data files, in
-# all, about 130 MB of float64; building them takes up to twice that at
-# its peak, since each set is copied once, on its shuffle or its split,
-# while the original is alive
+# all, about 130 MB of float64; a set is built in one buffer and kept in it,
+# so building it holds that buffer and little more, and a data file's
+# buffer at most doubles the values it has read so far
 MAX_FEATURE_VALUES = 1 << 24
+
+
+def _frozen(a, dtype) -> np.ndarray:
+    """``a`` itself when it is a read-only ``dtype`` array whose memory
+    owner, the base that owns the data, is read-only too; else a read-only
+    ``dtype`` copy of ``a``."""
+    if isinstance(a, np.ndarray) and a.dtype == dtype and not a.flags.writeable:
+        owner = a
+        while isinstance(owner.base, np.ndarray):
+            owner = owner.base
+        if owner.flags.owndata and not owner.flags.writeable:
+            return a
+    a = np.array(a, dtype=dtype)
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Feature matrix x (N, n) with labels y (N,) in {-1, +1} owned by one enterprise."""
+    """Feature matrix x (N, n) with labels y (N,) in {-1, +1} owned by one enterprise.
+
+    Both arrays are read-only.  Float64 features or int64 labels that are
+    read-only, with a read-only memory owner, are kept as given, view or
+    not; any other input, a writable array or a read-only view of one
+    included, is copied.
+    """
 
     x: np.ndarray
     y: np.ndarray
     owner: int = 0
 
     def __post_init__(self) -> None:
-        x = np.array(self.x, dtype=np.float64)
-        y = np.array(self.y, dtype=np.int64)
-        x.setflags(write=False)
-        y.setflags(write=False)
+        x = _frozen(self.x, np.float64)
+        y = _frozen(self.y, np.int64)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] == 0:
@@ -93,24 +114,31 @@ def two_class_gaussian(
     if separation < 0:
         raise ValueError("separation must be >= 0")
     n_pos = n_samples // 2
-    n_neg = n_samples - n_pos
     mean = (separation / 2.0) * np.ones(n_features) / np.sqrt(n_features)
     # one draw for both classes, class +1 rows first (README "Determinism"),
-    # with the means added in place: the set lives in one buffer until it
-    # is shuffled
+    # with the means added in place: the set lives in this one buffer
     x = rng.standard_normal((n_samples, n_features))
     x[:n_pos] += mean
     x[n_pos:] -= mean
-    y = np.concatenate([np.ones(n_pos, dtype=np.int64),
-                        -np.ones(n_neg, dtype=np.int64)])
-    order = rng.permutation(n_samples)
-    # rebinding frees the unshuffled draw before Dataset copies the rows
-    x = x[order]
-    return Dataset(x, y[order], owner)
+    # shuffled in place with the draws of permutation(N) (README
+    # "Determinism"): from one saved state, that order gives the labels, a
+    # row drawn from below n_pos being class +1, and shuffle() moves the
+    # rows themselves, each viewed as one opaque item
+    state = rng.bit_generator.state
+    y = np.where(rng.permutation(n_samples) < n_pos, 1, -1)
+    rng.bit_generator.state = state
+    rng.shuffle(x.view(np.dtype((np.void, x[0].nbytes))).reshape(n_samples))
+    x.setflags(write=False)
+    y.setflags(write=False)
+    return Dataset(x, y, owner)
 
 
 def split_dataset(ds: Dataset) -> EnterpriseData:
-    """Deterministic head/tail split; the last rows become the test set."""
+    """Deterministic head/tail split; the last rows become the test set.
+
+    Both parts are read-only views of ``ds``'s rows, so the split copies
+    nothing.
+    """
     n_test = max(1, int(round(len(ds) * TEST_FRACTION)))
     if n_test >= len(ds):
         raise ValueError("dataset too small to split")
@@ -121,11 +149,14 @@ def split_dataset(ds: Dataset) -> EnterpriseData:
     )
 
 
-def read_text(path: str, what: str = "") -> str:
-    """A whole UTF-8 text file; failing to read it is a ValueError naming it."""
+@contextmanager
+def _text_file(path: str, what: str = "") -> Iterator[TextIO]:
+    """A UTF-8 text file open for reading.  Failing to open it, or to
+    decode what the ``with`` body reads from it, is a ValueError naming it."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            yield fh
+        return
     except OSError as exc:
         reason = exc.strerror
     except UnicodeDecodeError:
@@ -133,42 +164,65 @@ def read_text(path: str, what: str = "") -> str:
     raise ValueError(f"cannot read {what}{path}: {reason}")
 
 
+def read_text(path: str, what: str = "") -> str:
+    """A whole UTF-8 text file; failing to read it is a ValueError naming it."""
+    with _text_file(path, what) as fh:
+        return fh.read()
+
+
 def read_samples(path: str, owner: int = 0,
                  budget: int = MAX_FEATURE_VALUES) -> Dataset:
     """Parse plain-text samples: one per line, the label then the feature values.
 
+    The file is read line by line into one float64 buffer, and the labels
+    into one int64 buffer, each doubling when full and trimmed at the end.
     A file of more than ``budget`` feature values, the share of
     ``MAX_FEATURE_VALUES`` left to it, fails at the line that crosses it,
     before that row is stored.
     """
-    rows: list[list[float]] = []
-    labels: list[int] = []
-    n_values = 0
-    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            values = [float(v) for v in line.split()]
-        except ValueError:
-            raise ValueError(f"bad number on line {lineno} of {path}") from None
-        if len(values) < 2:
-            raise ValueError(f"need a label and features on line {lineno} of {path}")
-        if values[0] not in (-1.0, 1.0):
-            raise ValueError(f"label must be -1 or +1 on line {lineno} of {path}")
-        n_values += len(values) - 1
-        if n_values > budget:
-            raise ValueError(f"{path}: data files hold more than "
-                             f"{MAX_FEATURE_VALUES} feature values in all")
-        labels.append(int(values[0]))
-        rows.append(values[1:])
-    if not rows:
+    xs = np.empty(1024)
+    ys = np.empty(64, dtype=np.int64)
+    n_values = n_rows = 0
+    widths: set[int] = set()
+    with _text_file(path) as fh:
+        # str.splitlines on each read line splits where splitlines on the
+        # whole text would, at \v, \f and the other separators too
+        lines = chain.from_iterable(map(str.splitlines, fh))
+        for lineno, line in enumerate(lines, start=1):
+            tokens = line.split()
+            if not tokens:
+                continue
+            try:
+                values = list(map(float, tokens))
+            except ValueError:
+                raise ValueError(f"bad number on line {lineno} of {path}") from None
+            if len(values) < 2:
+                raise ValueError(f"need a label and features on line {lineno} of {path}")
+            if values[0] not in (-1.0, 1.0):
+                raise ValueError(f"label must be -1 or +1 on line {lineno} of {path}")
+            end = n_values + len(values) - 1
+            if end > budget:
+                raise ValueError(f"{path}: data files hold more than "
+                                 f"{MAX_FEATURE_VALUES} feature values in all")
+            # resize() keeps the values so far; no view of a buffer is alive
+            if end > xs.size:
+                xs.resize(2 * end, refcheck=False)
+            if n_rows == ys.size:
+                ys.resize(2 * n_rows, refcheck=False)
+            xs[n_values:end] = values[1:]
+            ys[n_rows] = values[0]
+            widths.add(end - n_values)
+            n_values, n_rows = end, n_rows + 1
+    if not n_rows:
         raise ValueError(f"no samples in {path}")
-    widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise ValueError(f"inconsistent feature count in {path}")
+    xs.resize(n_values, refcheck=False)
+    ys.resize(n_rows, refcheck=False)
+    xs.setflags(write=False)
+    ys.setflags(write=False)
     try:
-        return Dataset(np.array(rows), np.array(labels), owner)
+        return Dataset(xs.reshape(n_rows, -1), ys, owner)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -191,6 +245,8 @@ def read_enterprises(paths: Sequence[str]) -> tuple[list[EnterpriseData], Datase
     if len({d.dim for d in datasets}) != 1:
         raise ValueError("data files disagree on feature count")
     enterprises = [split_dataset(d) for d in datasets]
-    holdout = Dataset(np.vstack([e.test.x for e in enterprises]),
-                      np.concatenate([e.test.y for e in enterprises]))
-    return enterprises, holdout
+    x = np.vstack([e.test.x for e in enterprises])
+    y = np.concatenate([e.test.y for e in enterprises])
+    x.setflags(write=False)
+    y.setflags(write=False)
+    return enterprises, Dataset(x, y)

@@ -84,18 +84,24 @@ def test_gaussian_equals_the_former_two_block_draw(n_samples, n_features):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def test_gaussian_holds_at_most_two_copies_of_the_set():
-    rng = np.random.default_rng(4)
+def traced_peak(build):
+    """What ``build()`` returns, and the most memory it held at once."""
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        ds = two_class_gaussian(2000, 300, 3.0, rng)
+        built = build()
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    # the draw and its shuffled copy, then Dataset's own copy of the latter
-    assert peak < 2.5 * ds.x.nbytes
+    return built, peak
+
+
+def test_gaussian_holds_one_copy_of_the_set():
+    rng = np.random.default_rng(4)
+    ds, peak = traced_peak(lambda: two_class_gaussian(2000, 300, 3.0, rng))
+    # the draw is shuffled in place and kept: no second copy of the rows
+    assert peak < 1.25 * ds.x.nbytes
 
 
 def test_gaussian_zero_separation_mixes_classes():
@@ -122,10 +128,87 @@ def test_split_is_deterministic_tail():
     assert ent.train.owner == 4 and ent.test.owner == 4
 
 
+def test_split_shares_the_set_buffer():
+    ds = two_class_gaussian(2000, 300, 3.0, np.random.default_rng(4))
+    ent, peak = traced_peak(lambda: split_dataset(ds))
+    for part in (ent.train, ent.test):
+        assert np.shares_memory(part.x, ds.x) and np.shares_memory(part.y, ds.y)
+        assert not part.x.flags.writeable and not part.y.flags.writeable
+    assert peak < 0.05 * ds.x.nbytes
+
+
 def test_split_errors():
     ds = Dataset(np.ones((1, 2)), np.array([1]))
     with pytest.raises(ValueError, match="too small"):
         split_dataset(ds)
+
+
+def test_dataset_copies_a_writable_input():
+    x, y = np.ones((3, 2)), np.array([1, -1, 1])
+    ds = Dataset(x, y)
+    x[0, 0], y[0] = 7.0, -1
+    assert ds.x[0, 0] == 1.0 and ds.y[0] == 1
+
+
+def test_dataset_copies_a_read_only_view_of_a_writable_array():
+    x, y = np.ones((3, 2)), np.array([1, -1, 1])
+    xv, yv = x[:2], y[:2]
+    xv.setflags(write=False)
+    yv.setflags(write=False)
+    ds = Dataset(xv, yv)
+    assert not np.shares_memory(ds.x, x) and not np.shares_memory(ds.y, y)
+    x[0, 0], y[0] = 7.0, -1
+    assert ds.x[0, 0] == 1.0 and ds.y[0] == 1
+
+
+def test_dataset_keeps_a_frozen_array_and_its_frozen_views():
+    x, y = np.ones((3, 2)), np.array([1, -1, 1])
+    x.setflags(write=False)
+    y.setflags(write=False)
+    ds = Dataset(x, y)
+    assert ds.x is x and ds.y is y
+    part = Dataset(x[1:], y[1:])
+    assert np.shares_memory(part.x, x) and np.shares_memory(part.y, y)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float32, np.longdouble])
+def test_dataset_converts_features_to_float64(dtype):
+    x = np.arange(6, dtype=dtype).reshape(3, 2)
+    x.setflags(write=False)
+    labels = np.array([1, -1, 1], dtype=np.int32)
+    labels.setflags(write=False)
+    ds = Dataset(x, labels)
+    assert ds.x.dtype == np.float64 and ds.y.dtype == np.int64
+    np.testing.assert_array_equal(ds.x, x)
+    np.testing.assert_array_equal(ds.y, labels)
+    assert not ds.x.flags.writeable and not ds.y.flags.writeable
+
+
+def test_dataset_converts_frozen_float_labels_to_int64():
+    labels = np.array([1.0, -1.0, 1.0])
+    labels.setflags(write=False)
+    ds = Dataset(np.ones((3, 2)), labels)
+    assert ds.y.dtype == np.int64 and ds.y.tolist() == [1, -1, 1]
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 1, 1), (3, 0)])
+def test_dataset_rejects_features_that_are_not_a_nonempty_matrix(shape):
+    with pytest.raises(ValueError, match="nonempty"):
+        Dataset(np.ones(shape), np.array([1, -1, 1]))
+
+
+def test_dataset_rejects_more_labels_than_rows():
+    with pytest.raises(ValueError, match="one label per row"):
+        Dataset(np.ones((2, 2)), np.array([1, -1, 1]))
+    with pytest.raises(ValueError, match="one label per row"):
+        Dataset(np.ones((2, 2)), np.array([[1], [-1]]))
+
+
+def test_enterprise_data_rejects_a_narrower_test_set():
+    a = Dataset(np.ones((2, 3)), np.array([1, -1]))
+    b = Dataset(np.ones((2, 2)), np.array([1, -1]))
+    with pytest.raises(ValueError, match="dimensions differ"):
+        EnterpriseData(a, b)
 
 
 def test_enterprise_data_dimension_check():
@@ -145,12 +228,35 @@ def test_samples_file_roundtrip(tmp_path):
     assert back.owner == ds.owner
 
 
+def test_samples_file_is_read_into_one_buffer(tmp_path):
+    ds = two_class_gaussian(2000, 50, 2.0, np.random.default_rng(6))
+    path = tmp_path / "samples.txt"
+    write_samples(str(path), ds)
+    back, peak = traced_peak(lambda: read_samples(str(path)))
+    np.testing.assert_array_equal(back.x, ds.x)
+    # the buffer doubles as it fills and is trimmed in place, then kept
+    assert peak < 3 * back.x.nbytes
+
+
 def test_samples_file_skips_blank_lines(tmp_path):
     path = tmp_path / "s.txt"
     path.write_text("1 0.5 1.5\n\n-1 2.0 -0.25\n")
     ds = read_samples(str(path))
     assert len(ds) == 2
     np.testing.assert_array_equal(ds.y, [1, -1])
+
+
+def test_samples_file_lines_end_where_splitlines_ends_them(tmp_path):
+    # \r, \r\n, a form feed and a vertical tab each end a line, and the
+    # line numbers in errors count them so
+    path = tmp_path / "s.txt"
+    path.write_bytes(b"1 0.5\x0c-1 0.25\r\n\x0b1 1.5\r-1 2.5\n")
+    ds = read_samples(str(path))
+    np.testing.assert_array_equal(ds.x, [[0.5], [0.25], [1.5], [2.5]])
+    np.testing.assert_array_equal(ds.y, [1, -1, 1, -1])
+    path.write_bytes(b"1 0.5\x0c-1 0.25\r\n\x0b2 0.5\n")
+    with pytest.raises(ValueError, match="label must be -1 or \\+1 on line 4"):
+        read_samples(str(path))
 
 
 @pytest.mark.parametrize("content,msg", [

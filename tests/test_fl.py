@@ -248,6 +248,22 @@ def test_local_cycle_matches_reference_when_rows_repeat_in_a_block():
     assert_matches_reference(model, ds, SystemParams(beta=0.5, t_max=64))
 
 
+def test_builtin_sum_adds_floats_one_by_one_from_the_left():
+    # the step loop sums its Gram corrections with sum(map(mul, a, g)), so
+    # the fl-run rounding contract, and every fl-run golden with it, needs
+    # CPython's plain left-to-right float sum(); 3.12 made sum() compensated
+    rng = np.random.default_rng(0)
+    cases = [[1e16, 1.0, -1e16], [0.1 * 0.3] * 10]
+    cases += [rng.standard_normal(16).tolist() for _ in range(100)]
+    for values in cases:
+        left = 0
+        for v in values:
+            left += v
+        assert sum(values) == left, (
+            "sum() of floats is not the left-to-right sum; the fl-run "
+            'rounding contract holds on CPython 3.10-3.11 (README "Install")')
+
+
 def test_local_cycle_fixed_point_at_zero_anchor_gradient():
     # with a zero anchor gradient the correction terms cancel exactly and
     # the weights never move off the anchor

@@ -174,8 +174,7 @@ def _synthetic_enterprises(args, streams: RandomStreams):
         raise ValueError("(--enterprises x --samples + --holdout) x --features "
                          f"must be <= {MAX_FEATURE_VALUES}, got {total}")
     datasets = [two_class_gaussian(n_samples, n_features, args.separation,
-                                   streams.data, owner=i)
-                for i in range(n_ent)]
+                                   streams.data) for _ in range(n_ent)]
     holdout = two_class_gaussian(n_holdout, n_features, args.separation,
                                  streams.data)
     return [split_dataset(d) for d in datasets], holdout

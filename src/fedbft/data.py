@@ -8,6 +8,8 @@ from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
+from .domain import frozen
+
 __all__ = [
     "Dataset",
     "EnterpriseData",
@@ -27,38 +29,22 @@ TEST_FRACTION = 0.2
 MAX_FEATURE_VALUES = 1 << 24
 
 
-def _frozen(a, dtype) -> np.ndarray:
-    """``a`` itself when it is a read-only ``dtype`` array whose memory
-    owner, the base that owns the data, is read-only too; else a read-only
-    ``dtype`` copy of ``a``."""
-    if isinstance(a, np.ndarray) and a.dtype == dtype and not a.flags.writeable:
-        owner = a
-        while isinstance(owner.base, np.ndarray):
-            owner = owner.base
-        if owner.flags.owndata and not owner.flags.writeable:
-            return a
-    a = np.array(a, dtype=dtype)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Feature matrix x (N, n) with labels y (N,) in {-1, +1} owned by one enterprise.
+    """Feature matrix x (N, n) with labels y (N,) in {-1, +1}.
 
-    Both arrays are read-only.  Float64 features or int64 labels that are
-    read-only, with a read-only memory owner, are kept as given, view or
-    not; any other input, a writable array or a read-only view of one
-    included, is copied.
+    Both arrays are read-only: ``domain.frozen`` keeps frozen float64
+    features or int64 labels as given, view or not, and copies any other
+    input.  A set carries no enterprise id; an enterprise is its position
+    in the list it is trained in.
     """
 
     x: np.ndarray
     y: np.ndarray
-    owner: int = 0
 
     def __post_init__(self) -> None:
-        x = _frozen(self.x, np.float64)
-        y = _frozen(self.y, np.int64)
+        x = frozen(self.x)
+        y = frozen(self.y, np.int64)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] == 0:
@@ -98,7 +84,6 @@ def two_class_gaussian(
     n_features: int,
     separation: float,
     rng: np.random.Generator,
-    owner: int = 0,
 ) -> Dataset:
     """Balanced two-cluster data: class means at +/- separation/2 along (1,..,1)/sqrt(n).
 
@@ -130,7 +115,7 @@ def two_class_gaussian(
     rng.shuffle(x.view(np.dtype((np.void, x[0].nbytes))).reshape(n_samples))
     x.setflags(write=False)
     y.setflags(write=False)
-    return Dataset(x, y, owner)
+    return Dataset(x, y)
 
 
 def split_dataset(ds: Dataset) -> EnterpriseData:
@@ -144,8 +129,8 @@ def split_dataset(ds: Dataset) -> EnterpriseData:
         raise ValueError("dataset too small to split")
     cut = len(ds) - n_test
     return EnterpriseData(
-        train=Dataset(ds.x[:cut], ds.y[:cut], ds.owner),
-        test=Dataset(ds.x[cut:], ds.y[cut:], ds.owner),
+        train=Dataset(ds.x[:cut], ds.y[:cut]),
+        test=Dataset(ds.x[cut:], ds.y[cut:]),
     )
 
 
@@ -170,15 +155,14 @@ def read_text(path: str, what: str = "") -> str:
         return fh.read()
 
 
-def read_samples(path: str, owner: int = 0,
-                 budget: int = MAX_FEATURE_VALUES) -> Dataset:
+def read_samples(path: str, budget: int = MAX_FEATURE_VALUES) -> Dataset:
     """Parse plain-text samples: one per line, the label then the feature values.
 
     The file is read line by line into one float64 buffer, and the labels
     into one int64 buffer, each doubling when full and trimmed at the end.
     A file of more than ``budget`` feature values, the share of
     ``MAX_FEATURE_VALUES`` left to it, fails at the line that crosses it,
-    before that row is stored.
+    counted from its tokens before any of them is parsed.
     """
     xs = np.empty(1024)
     ys = np.empty(64, dtype=np.int64)
@@ -192,6 +176,10 @@ def read_samples(path: str, owner: int = 0,
             tokens = line.split()
             if not tokens:
                 continue
+            end = n_values + len(tokens) - 1
+            if end > budget:
+                raise ValueError(f"{path}: data files hold more than "
+                                 f"{MAX_FEATURE_VALUES} feature values in all")
             try:
                 values = list(map(float, tokens))
             except ValueError:
@@ -200,10 +188,6 @@ def read_samples(path: str, owner: int = 0,
                 raise ValueError(f"need a label and features on line {lineno} of {path}")
             if values[0] not in (-1.0, 1.0):
                 raise ValueError(f"label must be -1 or +1 on line {lineno} of {path}")
-            end = n_values + len(values) - 1
-            if end > budget:
-                raise ValueError(f"{path}: data files hold more than "
-                                 f"{MAX_FEATURE_VALUES} feature values in all")
             # resize() keeps the values so far; no view of a buffer is alive
             if end > xs.size:
                 xs.resize(2 * end, refcheck=False)
@@ -222,14 +206,14 @@ def read_samples(path: str, owner: int = 0,
     xs.setflags(write=False)
     ys.setflags(write=False)
     try:
-        return Dataset(xs.reshape(n_rows, -1), ys, owner)
+        return Dataset(xs.reshape(n_rows, -1), ys)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
 def read_enterprises(paths: Sequence[str]) -> tuple[list[EnterpriseData], Dataset]:
-    """One enterprise per sample file, split by ``split_dataset``, and the
-    held-out set pooled from their test rows in file order.
+    """Enterprise i from the i-th sample file, split by ``split_dataset``,
+    and the held-out set pooled from their test rows in file order.
 
     The files hold at most ``MAX_FEATURE_VALUES`` feature values in all:
     each may hold what the files before it left, and the first to cross
@@ -239,8 +223,8 @@ def read_enterprises(paths: Sequence[str]) -> tuple[list[EnterpriseData], Datase
         raise ValueError("no data file given")
     datasets = []
     budget = MAX_FEATURE_VALUES
-    for i, path in enumerate(paths):
-        datasets.append(read_samples(path, owner=i, budget=budget))
+    for path in paths:
+        datasets.append(read_samples(path, budget))
         budget -= datasets[-1].x.size
     if len({d.dim for d in datasets}) != 1:
         raise ValueError("data files disagree on feature count")

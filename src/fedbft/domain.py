@@ -1,8 +1,8 @@
 """Shared value types: system parameters, transactions, blocks, latency records.
 
-Everything here is an immutable record.  Weight vectors are stored as
-read-only float64 arrays so a constructed transaction or block can be
-shared freely between the trainer, the verifier and the simulator.  A
+Everything here is an immutable record.  Arrays are held by one rule,
+``frozen``, so a constructed transaction or block can be shared freely
+between the trainer, the verifier and the simulator.  A
 transaction built without a digest signs its own payload; one built with
 a digest keeps it, and ``digest_ok`` checks it against the payload.
 """
@@ -12,7 +12,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass, fields
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -29,6 +29,7 @@ __all__ = [
     "tx_payload_bytes",
     "tx_digest",
     "parse_params_text",
+    "frozen",
 ]
 
 # Integer-valued configuration fields; everything else parses as float.
@@ -157,10 +158,19 @@ def parse_params_text(text: str) -> SystemParams:
     return SystemParams(**seen)
 
 
-def _frozen_array(values: Sequence[float] | np.ndarray) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
-    arr.setflags(write=False)
-    return arr
+def frozen(a, dtype=np.float64) -> np.ndarray:
+    """``a`` itself when it is a read-only ``dtype`` array whose memory
+    owner, the base that owns the data, is read-only too; else a read-only
+    ``dtype`` copy of ``a``, so no caller can change what a record holds."""
+    if isinstance(a, np.ndarray) and a.dtype == dtype and not a.flags.writeable:
+        owner = a
+        while isinstance(owner.base, np.ndarray):
+            owner = owner.base
+        if owner.flags.owndata and not owner.flags.writeable:
+            return a
+    a = np.array(a, dtype=dtype)
+    a.setflags(write=False)
+    return a
 
 
 def tx_payload_bytes(tx: LocalUpdateTx) -> bytes:
@@ -191,8 +201,8 @@ class LocalUpdateTx:
     digest: str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", _frozen_array(self.weights))
-        object.__setattr__(self, "shared_gradient", _frozen_array(self.shared_gradient))
+        object.__setattr__(self, "weights", frozen(self.weights))
+        object.__setattr__(self, "shared_gradient", frozen(self.shared_gradient))
         if self.weights.shape != self.shared_gradient.shape:
             raise ValueError("weights and shared_gradient must have equal dimension")
         if self.n_samples < 1:

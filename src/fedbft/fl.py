@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .data import Dataset
-from .domain import LocalUpdateTx, SystemParams
+from .domain import LocalUpdateTx, SystemParams, frozen
 
 __all__ = [
     "GlobalModel",
@@ -48,16 +48,13 @@ class GlobalModel:
     full_gradient: Optional[np.ndarray]
 
     def __post_init__(self) -> None:
-        w = np.array(self.weights, dtype=np.float64)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        if not np.isfinite(w).all():
+        object.__setattr__(self, "weights", frozen(self.weights))
+        if not np.isfinite(self.weights).all():
             raise ValueError("weights must be finite")
         if self.full_gradient is not None:
-            g = np.array(self.full_gradient, dtype=np.float64)
-            g.setflags(write=False)
+            g = frozen(self.full_gradient)
             object.__setattr__(self, "full_gradient", g)
-            if g.shape != w.shape:
+            if g.shape != self.weights.shape:
                 raise ValueError("full_gradient dimension mismatch")
             if not np.isfinite(g).all():
                 raise ValueError("full_gradient must be finite")
@@ -118,16 +115,16 @@ def svrg_local_cycle(
     ds: Dataset,
     p: SystemParams,
     rng: np.random.Generator,
-    created_at: float = 0.0,
-) -> LocalUpdateTx:
-    """One local training pass producing this enterprise's transaction.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One local training pass: this enterprise's new weights and the
+    gradient it shares, which ``sim.run_cycle`` signs into its transaction.
 
     Starting from the global weights, take p.t_max corrected stochastic
     steps of size beta/N_i: each draws a uniform sample k and moves along
     grad_k(w) - grad_k(w_anchor) + anchor_gradient.  The anchor gradient
     is the model's shared full gradient, or a gradient of this dataset at
-    the anchor weights during the cycle-0 bootstrap.  The transaction
-    carries the final weights and this dataset's mean gradient at them.
+    the anchor weights during the cycle-0 bootstrap.  Returns the final
+    weights and this dataset's mean gradient at them.
     """
     n_i = len(ds)
     anchor_w = np.asarray(model.weights, dtype=np.float64)
@@ -193,8 +190,7 @@ def svrg_local_cycle(
     if not np.isfinite(w).all():
         raise ValueError("local update diverged; reduce beta")
 
-    shared = average_gradient(w, ds)
-    return LocalUpdateTx(ds.owner, w, shared, n_i, created_at)
+    return w, average_gradient(w, ds)
 
 
 def aggregate_global(w_prev: np.ndarray, txs: Sequence[LocalUpdateTx]) -> np.ndarray:

@@ -319,6 +319,7 @@ def run_cycle(
     that fail cross-verification never reach the candidate block, and the
     global step aggregates the sealed block's transactions only.
     Adversarial enterprises submit random weights instead of training.
+    Every update is signed here, its id the enterprise's list position.
     """
     if not enterprises:
         raise ValueError("need at least one enterprise")
@@ -327,14 +328,14 @@ def run_cycle(
 
     txs = []
     for idx, ent in enumerate(enterprises):
-        created = latency.t_local_update(p.delta_d, len(ent.train), p.f_c)
+        n = len(ent.train)
         if idx in adversaries:
-            txs.append(LocalUpdateTx(
-                idx, streams.data.standard_normal(dim),
-                streams.data.standard_normal(dim), len(ent.train), created))
+            w = streams.data.standard_normal(dim)
+            g = streams.data.standard_normal(dim)
         else:
-            txs.append(svrg_local_cycle(model, ent.train, p, streams.data,
-                                        created_at=created))
+            w, g = svrg_local_cycle(model, ent.train, p, streams.data)
+        txs.append(LocalUpdateTx(idx, w, g, n,
+                                 latency.t_local_update(p.delta_d, n, p.f_c)))
 
     verified = [tx for tx in txs if _passes_verification(tx, enterprises, p)]
     if not verified:

@@ -121,8 +121,8 @@ def _fl_acceptance_setup():
     p = SystemParams(beta=2.0)  # epsilon stays at the 1e-3 default
     streams = RandomStreams.from_seed(0)
     enterprises = [
-        split_dataset(two_class_gaussian(500, 2, 4.0, streams.data, owner=i))
-        for i in range(4)
+        split_dataset(two_class_gaussian(500, 2, 4.0, streams.data))
+        for _ in range(4)
     ]
     holdout = two_class_gaussian(2000, 2, 4.0, streams.data)
     return p, enterprises, holdout, streams
@@ -212,9 +212,8 @@ def test_6_adversarial_updates_are_excluded(announce):
         for seed in range(100):
             streams = RandomStreams.from_seed(seed)
             enterprises = [
-                split_dataset(two_class_gaussian(200, 300, 3.0,
-                                                 streams.data, owner=i))
-                for i in range(4)
+                split_dataset(two_class_gaussian(200, 300, 3.0, streams.data))
+                for _ in range(4)
             ]
             model = GlobalModel.initial(300)
             for _ in range(3):

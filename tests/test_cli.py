@@ -337,7 +337,7 @@ def test_fl_run_reads_sample_files(tmp_path, capsys):
     rng = np.random.default_rng(0)
     paths = []
     for i in range(2):
-        ds = two_class_gaussian(50, 2, 4.0, rng, owner=i)
+        ds = two_class_gaussian(50, 2, 4.0, rng)
         path = tmp_path / f"ent{i}.txt"
         write_samples(str(path), ds)
         paths.append(str(path))
@@ -778,8 +778,8 @@ def test_bad_n_samples_fails_before_any_replication(command, capsys,
 
 def test_run_training_row_shape():
     streams = RandomStreams.from_seed(3)
-    ents = [split_dataset(two_class_gaussian(40, 2, 4.0, streams.data, owner=i))
-            for i in range(3)]
+    ents = [split_dataset(two_class_gaussian(40, 2, 4.0, streams.data))
+            for _ in range(3)]
     holdout = two_class_gaussian(60, 2, 4.0, streams.data)
     run = run_training(SystemParams(t_max=30), ents, holdout, streams,
                        cycle_cap=2)
@@ -792,8 +792,8 @@ def test_run_training_row_shape():
 
 def test_run_training_loss_decreases_initially():
     streams = RandomStreams.from_seed(4)
-    ents = [split_dataset(two_class_gaussian(100, 2, 4.0, streams.data, owner=i))
-            for i in range(4)]
+    ents = [split_dataset(two_class_gaussian(100, 2, 4.0, streams.data))
+            for _ in range(4)]
     holdout = two_class_gaussian(200, 2, 4.0, streams.data)
     run = run_training(SystemParams(t_max=200), ents, holdout, streams,
                        cycle_cap=5)

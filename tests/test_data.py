@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fedbft.data import (Dataset, EnterpriseData, read_samples, split_dataset,
-                         two_class_gaussian)
+from fedbft.data import (MAX_FEATURE_VALUES, Dataset, EnterpriseData,
+                         read_samples, split_dataset, two_class_gaussian)
 from sample_files import write_samples
 
 
@@ -24,20 +24,19 @@ def test_dataset_validation():
 
 
 def test_dataset_samples_roundtrip():
-    ds = Dataset(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1, -1]), owner=2)
+    ds = Dataset(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1, -1]))
     np.testing.assert_array_equal(ds.x, [[1.0, 2.0], [3.0, 4.0]])
     assert ds.y.tolist() == [1, -1]
     assert ds.x.dtype == np.float64 and ds.y.dtype == np.int64
-    assert ds.owner == 2 and ds.dim == 2 and len(ds) == 2
+    assert ds.dim == 2 and len(ds) == 2
     with pytest.raises(ValueError, match="read-only"):
         ds.x[0, 0] = 5.0
 
 
 def test_gaussian_shape_and_balance():
     rng = np.random.default_rng(0)
-    ds = two_class_gaussian(101, 3, 2.0, rng, owner=1)
+    ds = two_class_gaussian(101, 3, 2.0, rng)
     assert ds.x.shape == (101, 3)
-    assert ds.owner == 1
     # odd count: the extra sample goes to class -1
     assert int((ds.y == 1).sum()) == 50
     assert int((ds.y == -1).sum()) == 51
@@ -120,12 +119,11 @@ def test_gaussian_argument_errors():
 
 
 def test_split_is_deterministic_tail():
-    ds = two_class_gaussian(10, 2, 1.0, np.random.default_rng(2), owner=4)
+    ds = two_class_gaussian(10, 2, 1.0, np.random.default_rng(2))
     ent = split_dataset(ds)
     assert len(ent.train) == 8 and len(ent.test) == 2
     np.testing.assert_array_equal(ent.test.x, ds.x[8:])
     np.testing.assert_array_equal(ent.train.y, ds.y[:8])
-    assert ent.train.owner == 4 and ent.test.owner == 4
 
 
 def test_split_shares_the_set_buffer():
@@ -219,13 +217,22 @@ def test_enterprise_data_dimension_check():
 
 
 def test_samples_file_roundtrip(tmp_path):
-    ds = two_class_gaussian(25, 3, 2.0, np.random.default_rng(6), owner=1)
+    ds = two_class_gaussian(25, 3, 2.0, np.random.default_rng(6))
     path = tmp_path / "samples.txt"
     write_samples(str(path), ds)
-    back = read_samples(str(path), owner=1)
+    back = read_samples(str(path))
     np.testing.assert_array_equal(back.x, ds.x)  # repr() round-trips float64
     np.testing.assert_array_equal(back.y, ds.y)
-    assert back.owner == ds.owner
+
+
+def test_a_line_past_the_cap_fails_before_it_is_parsed(tmp_path):
+    # five feature values against a budget of four: the line is refused
+    # from its token count, before its last token, no number, is parsed
+    path = tmp_path / "wide.txt"
+    path.write_text("1 0.5 0.5 0.5 0.5 not-a-number\n")
+    with pytest.raises(ValueError, match=f"more than {MAX_FEATURE_VALUES} "
+                                         "feature values in all"):
+        read_samples(str(path), budget=4)
 
 
 def test_samples_file_is_read_into_one_buffer(tmp_path):

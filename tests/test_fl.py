@@ -14,7 +14,8 @@ from fedbft.fl import (GlobalModel, accuracy, aggregate_global,
                        average_gradient, global_full_gradient, mean_loss,
                        pooled_mean_loss, sigmoid, svrg_local_cycle,
                        verify_update)
-from fedbft.sim import RandomStreams, run_training
+from fedbft.latency import t_local_update
+from fedbft.sim import RandomStreams, run_cycle, run_training
 
 weight_vecs = arrays(np.float64, 3, elements=st.floats(-50.0, 50.0))
 
@@ -155,9 +156,9 @@ def test_local_cycle_single_step_trace():
     # -(sigmoid(0) - sigmoid(0) + 0.5) = -0.5
     ds, p = one_sample_problem()
     model = GlobalModel(np.zeros(1), np.array([0.5]))
-    tx = svrg_local_cycle(model, ds, SystemParams(beta=1.0, t_max=1),
-                          np.random.default_rng(0))
-    np.testing.assert_allclose(tx.weights, [-0.5], rtol=1e-15)
+    w, _ = svrg_local_cycle(model, ds, SystemParams(beta=1.0, t_max=1),
+                            np.random.default_rng(0))
+    np.testing.assert_allclose(w, [-0.5], rtol=1e-15)
 
 
 def test_local_cycle_two_step_trace():
@@ -165,13 +166,12 @@ def test_local_cycle_two_step_trace():
     # gradient and the move is -sigmoid(-0.5)
     ds, _ = one_sample_problem()
     model = GlobalModel(np.zeros(1), np.array([0.5]))
-    tx = svrg_local_cycle(model, ds, SystemParams(beta=1.0, t_max=2),
-                          np.random.default_rng(0))
+    w, g = svrg_local_cycle(model, ds, SystemParams(beta=1.0, t_max=2),
+                            np.random.default_rng(0))
     expected = -0.5 - 1.0 / (1.0 + math.exp(0.5))
-    np.testing.assert_allclose(tx.weights, [expected], rtol=1e-12)
+    np.testing.assert_allclose(w, [expected], rtol=1e-12)
     # the shared gradient is this dataset's mean gradient at the result
-    np.testing.assert_allclose(tx.shared_gradient,
-                               average_gradient(tx.weights, ds), rtol=1e-15)
+    np.testing.assert_allclose(g, average_gradient(w, ds), rtol=1e-15)
 
 
 @pytest.mark.parametrize("n", [1, 7, 400, 2**33])
@@ -213,7 +213,7 @@ def test_local_cycle_matches_reference_loop(dim, anchored):
     p = SystemParams(beta=2.0, t_max=300)
     fast_rng = np.random.default_rng(5)
     ref_rng = np.random.default_rng(5)
-    w = svrg_local_cycle(model, ds, p, fast_rng).weights
+    w, _ = svrg_local_cycle(model, ds, p, fast_rng)
     ref = reference_local_weights(model, ds, p, ref_rng)
     assert np.linalg.norm(w - ref) <= 1e-12 * np.linalg.norm(ref)
     assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
@@ -222,7 +222,7 @@ def test_local_cycle_matches_reference_loop(dim, anchored):
 def assert_matches_reference(model, ds, p):
     fast_rng = np.random.default_rng(5)
     ref_rng = np.random.default_rng(5)
-    w = svrg_local_cycle(model, ds, p, fast_rng).weights
+    w, _ = svrg_local_cycle(model, ds, p, fast_rng)
     ref = reference_local_weights(model, ds, p, ref_rng)
     assert np.linalg.norm(w - ref) <= 1e-12 * np.linalg.norm(ref)
     assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
@@ -271,46 +271,52 @@ def test_local_cycle_fixed_point_at_zero_anchor_gradient():
     ds = two_class_gaussian(12, 2, 1.0, rng)
     w0 = rng.normal(size=2)
     model = GlobalModel(w0, np.zeros(2))
-    tx = svrg_local_cycle(model, ds, SystemParams(beta=0.5, t_max=40), rng)
-    np.testing.assert_array_equal(tx.weights, w0)
+    w, _ = svrg_local_cycle(model, ds, SystemParams(beta=0.5, t_max=40), rng)
+    np.testing.assert_array_equal(w, w0)
 
 
 def test_bootstrap_anchors_on_own_gradient():
     rng = np.random.default_rng(4)
     ds = two_class_gaussian(16, 2, 2.0, rng)
     p = SystemParams(beta=0.5, t_max=25)
-    boot = svrg_local_cycle(GlobalModel.initial(2), ds, p,
-                            np.random.default_rng(99))
+    boot, _ = svrg_local_cycle(GlobalModel.initial(2), ds, p,
+                               np.random.default_rng(99))
     explicit = GlobalModel(np.zeros(2), average_gradient(np.zeros(2), ds))
-    same = svrg_local_cycle(explicit, ds, p, np.random.default_rng(99))
-    np.testing.assert_array_equal(boot.weights, same.weights)
+    same, _ = svrg_local_cycle(explicit, ds, p, np.random.default_rng(99))
+    np.testing.assert_array_equal(boot, same)
 
 
 def test_local_cycle_zero_beta_never_moves():
     rng = np.random.default_rng(11)
     ds = two_class_gaussian(10, 2, 1.0, rng)
     model = GlobalModel(rng.normal(size=2), rng.normal(size=2))
-    tx = svrg_local_cycle(model, ds, SystemParams(beta=0.0, t_max=50), rng)
-    np.testing.assert_array_equal(tx.weights, model.weights)
+    w, _ = svrg_local_cycle(model, ds, SystemParams(beta=0.0, t_max=50), rng)
+    np.testing.assert_array_equal(w, model.weights)
 
 
 def test_local_cycle_reduces_own_loss():
     rng = np.random.default_rng(5)
     ds = two_class_gaussian(200, 2, 4.0, rng)
     model = GlobalModel.initial(2)
-    tx = svrg_local_cycle(model, ds, SystemParams(beta=0.5, t_max=400), rng)
-    assert mean_loss(tx.weights, ds) < mean_loss(model.weights, ds)
+    w, _ = svrg_local_cycle(model, ds, SystemParams(beta=0.5, t_max=400), rng)
+    assert mean_loss(w, ds) < mean_loss(model.weights, ds)
 
 
-def test_local_cycle_metadata():
+def test_run_cycle_signs_each_update_as_its_list_position():
+    # no id is passed anywhere: enterprise i is the i-th set, for honest
+    # and adversarial updates alike, whatever order the sets come in
     rng = np.random.default_rng(6)
-    ds = two_class_gaussian(10, 2, 1.0, rng, owner=3)
-    tx = svrg_local_cycle(GlobalModel.initial(2), ds,
-                          SystemParams(t_max=5), rng, created_at=2.5)
-    assert tx.enterprise_id == 3
-    assert tx.n_samples == 10
-    assert tx.created_at == 2.5
-    assert tx.digest_ok()
+    sizes = (30, 10, 50, 20)
+    ents = [split_dataset(two_class_gaussian(n, 2, 4.0, rng)) for n in sizes]
+    p = SystemParams(t_max=5, e0=0.0)
+    _, _, block = run_cycle(p, ents, GlobalModel.initial(2),
+                            RandomStreams.from_seed(1), adversaries=[1])
+    assert sorted(tx.enterprise_id for tx in block.txs) == [0, 1, 2, 3]
+    for tx in block.txs:
+        n = len(ents[tx.enterprise_id].train)
+        assert tx.n_samples == n
+        assert tx.created_at == t_local_update(p.delta_d, n, p.f_c)
+        assert tx.digest_ok()
 
 
 def test_local_cycle_dimension_mismatch():
@@ -330,10 +336,10 @@ def test_local_cycle_is_invariant_to_flipping_every_sign(dim, anchored):
              if anchored else GlobalModel.initial(dim))
     p = SystemParams(beta=2.0, t_max=300)
     rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
-    a = svrg_local_cycle(model, ds, p, rng_a)
-    b = svrg_local_cycle(model, flipped, p, rng_b)
-    assert a.weights.tobytes() == b.weights.tobytes()
-    assert a.shared_gradient.tobytes() == b.shared_gradient.tobytes()
+    wa, ga = svrg_local_cycle(model, ds, p, rng_a)
+    wb, gb = svrg_local_cycle(model, flipped, p, rng_b)
+    assert wa.tobytes() == wb.tobytes()
+    assert ga.tobytes() == gb.tobytes()
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
@@ -570,8 +576,8 @@ def test_training_stops_once_the_move_is_at_most_epsilon():
     # after cycle 1, and the next float below it does not
     def train(epsilon):
         streams = RandomStreams.from_seed(3)
-        ents = [split_dataset(two_class_gaussian(40, 2, 4.0, streams.data,
-                                                 owner=i)) for i in range(3)]
+        ents = [split_dataset(two_class_gaussian(40, 2, 4.0, streams.data))
+                for _ in range(3)]
         holdout = two_class_gaussian(60, 2, 4.0, streams.data)
         return run_training(SystemParams(t_max=30, epsilon=epsilon), ents,
                             holdout, streams, cycle_cap=2)

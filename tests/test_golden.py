@@ -87,8 +87,8 @@ def test_simulation_csv_is_byte_identical_to_golden(shape, tmp_path, capsys):
 def test_block_tx_digests_match_golden():
     # the CSV rounds to 12 digits; tx digests hash every weight bit
     streams = RandomStreams.from_seed(0)
-    ents = [split_dataset(two_class_gaussian(500, 300, 3.0, streams.data, owner=i))
-            for i in range(4)]
+    ents = [split_dataset(two_class_gaussian(500, 300, 3.0, streams.data))
+            for _ in range(4)]
     holdout = two_class_gaussian(2000, 300, 3.0, streams.data)
     run = run_training(SystemParams(e0=0.7, beta=2.0, t_max=200), ents, holdout,
                        streams, adversaries=[2], cycle_cap=30)

@@ -16,7 +16,7 @@ from fedbft.fl import GlobalModel
 from fedbft.fl import verify_update
 from fedbft.sim import (RandomStreams, audit_block, run_cycle,
                         run_experiment, run_leader_batching, run_pbft_round,
-                        sample_exponential, _replication_draws)
+                        run_training, sample_exponential, _replication_draws)
 
 
 # --- random draws ---
@@ -592,8 +592,8 @@ def test_stationary_sojourn_matches_theory():
 def make_enterprises(seed, n=4, samples=60, features=2, sep=4.0):
     streams = RandomStreams.from_seed(seed)
     return [split_dataset(two_class_gaussian(samples, features, sep,
-                                             streams.data, owner=i))
-            for i in range(n)], streams
+                                             streams.data))
+            for _ in range(n)], streams
 
 
 def test_run_cycle_advances_the_model():
@@ -615,8 +615,8 @@ def test_run_cycle_advances_the_model():
 def test_run_cycle_t_local_is_the_slowest_block_member():
     p = SystemParams(t_max=20)
     streams = RandomStreams.from_seed(5)
-    ents = [split_dataset(two_class_gaussian(n, 2, 4.0, streams.data, owner=i))
-            for i, n in enumerate((50, 5000, 50, 50))]
+    ents = [split_dataset(two_class_gaussian(n, 2, 4.0, streams.data))
+            for n in (50, 5000, 50, 50)]
     _, breakdown, block = run_cycle(p, ents, GlobalModel.initial(2), streams)
     assert 1 in {tx.enterprise_id for tx in block.txs}
     assert breakdown.t_local == max(tx.created_at for tx in block.txs)
@@ -653,7 +653,7 @@ def test_pbft_preprepare_is_block_sojourn_total(monkeypatch):
 def test_verification_checks_each_test_set_once(monkeypatch):
     # 4, 7 and 3001 peers share 4 test sets; each tx is checked once
     # against each test set some other peer holds, including a tx whose
-    # owner id is at least twice the enterprise count
+    # enterprise id is at least twice the enterprise count
     from fedbft.domain import Block, LocalUpdateTx
 
     ents, streams = make_enterprises(7, samples=40)
@@ -704,6 +704,27 @@ def test_run_cycle_excludes_random_adversary():
     assert 1 not in ids
     assert ids <= {0, 2, 3}
     assert audit_block(block, ents, p)
+
+
+@pytest.mark.parametrize("e0, admitted", [(0.0, True), (0.6, False)])
+def test_run_training_ids_are_list_positions(e0, admitted):
+    # no id is passed anywhere: each sealed tx names the list position of
+    # its set, told apart here by its size, and the saboteur at position 0
+    # counts in adversary_blocks only when verification lets it through
+    p = SystemParams(e0=e0, t_max=100)
+    streams = RandomStreams.from_seed(2)
+    sizes = (100, 150, 80, 120)
+    ents = [split_dataset(two_class_gaussian(n, 200, 3.0, streams.data))
+            for n in sizes]
+    holdout = two_class_gaussian(50, 200, 3.0, streams.data)
+    run = run_training(p, ents, holdout, streams, adversaries=[0], cycle_cap=3)
+    assert len(run.blocks) == 3
+    for block in run.blocks:
+        assert sorted(tx.enterprise_id for tx in block.txs) == (
+            [0, 1, 2, 3] if admitted else [1, 2, 3])
+        for tx in block.txs:
+            assert tx.n_samples == len(ents[tx.enterprise_id].train)
+    assert run.adversary_blocks == (3 if admitted else 0)
 
 
 def test_run_cycle_rejecting_everything_raises():

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterator, Sequence, TextIO
 
 import numpy as np
@@ -180,21 +180,25 @@ def read_samples(path: str, budget: int = MAX_FEATURE_VALUES) -> Dataset:
             if end > budget:
                 raise ValueError(f"{path}: data files hold more than "
                                  f"{MAX_FEATURE_VALUES} feature values in all")
+            # the features go straight into one float64 array, with no
+            # list of Python floats in between
             try:
-                values = list(map(float, tokens))
+                label = float(tokens[0])
+                features = np.fromiter(map(float, islice(tokens, 1, None)),
+                                       np.float64, len(tokens) - 1)
             except ValueError:
                 raise ValueError(f"bad number on line {lineno} of {path}") from None
-            if len(values) < 2:
+            if len(tokens) < 2:
                 raise ValueError(f"need a label and features on line {lineno} of {path}")
-            if values[0] not in (-1.0, 1.0):
+            if label not in (-1.0, 1.0):
                 raise ValueError(f"label must be -1 or +1 on line {lineno} of {path}")
             # resize() keeps the values so far; no view of a buffer is alive
             if end > xs.size:
                 xs.resize(2 * end, refcheck=False)
             if n_rows == ys.size:
                 ys.resize(2 * n_rows, refcheck=False)
-            xs[n_values:end] = values[1:]
-            ys[n_rows] = values[0]
+            xs[n_values:end] = features
+            ys[n_rows] = label
             widths.add(end - n_values)
             n_values, n_rows = end, n_rows + 1
     if not n_rows:

@@ -32,8 +32,9 @@ __all__ = [
     "verify_update",
 ]
 
-_CHUNK = 256  # step indices drawn, and rows gathered, at a time
+_CHUNK = 256  # step indices drawn at a time
 _BLOCK = 16   # steps that share one block-start gemv and one Gram matrix
+_GATHER = 1 << 16  # values one gather of whole blocks holds, or one block
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,10 +91,30 @@ def mean_loss(w: np.ndarray, ds: Dataset) -> float:
     return float(np.add.reduce(np.logaddexp(0.0, _margins(w, ds)))) / len(ds)
 
 
-def pooled_mean_loss(w: np.ndarray, datasets: Sequence[Dataset]) -> float:
-    """Mean loss across all enterprises, weighted by their sample counts."""
+def pooled_mean_loss(W: np.ndarray, datasets: Sequence[Dataset]) -> np.ndarray:
+    """Mean loss across all enterprises, weighted by their sample counts,
+    at each row of the weight stack W: one value per row.
+
+    Each dataset takes one product ``W @ x.T`` for every row at once.  A
+    row's value is ``mean_loss`` at that row, times the sample count,
+    summed over the datasets in order and divided by their total: the
+    same operations as one row at a time, where the product's rounding
+    of a margin can differ from a matrix-vector product's in its last
+    bit (README "Determinism").
+    """
+    W = np.asarray(W, dtype=np.float64)
+    if W.ndim != 2:
+        raise ValueError("W must be a stack of weight rows")
     total = sum(len(d) for d in datasets)
-    return sum(mean_loss(w, d) * len(d) for d in datasets) / total
+    out = np.zeros(len(W))
+    for d in datasets:
+        if W.shape[1] != d.dim:
+            raise ValueError("weight and feature dimensions differ")
+        z = W @ d.x.T
+        z *= d.y
+        np.logaddexp(0.0, z, out=z)
+        out += np.add.reduce(z, axis=1) / len(d) * len(d)
+    return out / total
 
 
 def global_full_gradient(txs: Sequence[LocalUpdateTx]) -> np.ndarray:
@@ -145,10 +166,13 @@ def svrg_local_cycle(
     #
     # Blocked pass: the indices are drawn _CHUNK at a time, which leaves
     # the rng in the state of t_max scalar draws, and only those rows are
-    # gathered, with their anchor terms.  Within a block of _BLOCK rows,
-    # u moves by -sum_i a_i x_i, so row j's dot is its block-start dot
-    # d_j less sum_{i<j} a_i x_j.x_i from the block's Gram matrix, and u
-    # is updated once per block.
+    # gathered, with their anchor terms, in pieces of whole blocks of at
+    # most _GATHER values (one block at least).  On one BLAS thread, a
+    # gemv's row results do not change when its rows are split at
+    # multiples of 4, so the pieces give the anchor terms of one gather.
+    # Within a block of _BLOCK rows, u moves by -sum_i a_i x_i, so row j's
+    # dot is its block-start dot d_j less sum_{i<j} a_i x_j.x_i from the
+    # block's Gram matrix, and u is updated once per block.
     #
     # Per chunk, the drift terms t*r_k, the signed steps y_k*step and the
     # labels are taken as float lists, so the step loop multiplies float
@@ -163,14 +187,19 @@ def svrg_local_cycle(
     with np.errstate(over="ignore", invalid="ignore"):
         c = step * anchor_grad
         u = anchor_w.copy()
-        rows = np.empty((min(_CHUNK, p.t_max), ds.dim))
-        for t0 in range(0, p.t_max, _CHUNK):
-            n = min(_CHUNK, p.t_max - t0)
-            ks = rng.integers(n_i, size=n)
-            # every chunk gathers into one buffer; the indices are in range,
+        piece = min(_CHUNK, max(1, _GATHER // ds.dim // _BLOCK) * _BLOCK)
+        rows = np.empty((min(piece, p.t_max), ds.dim))
+        t0 = 0
+        while t0 < p.t_max:
+            k0 = t0 % _CHUNK
+            if k0 == 0:
+                ks = rng.integers(n_i, size=min(_CHUNK, p.t_max - t0))
+            kp = ks[k0:k0 + piece]
+            n = len(kp)
+            # every piece gathers into one buffer; the indices are in range,
             # so "clip" only skips the checked mode's copy through a temporary
-            xc = np.take(ds.x, ks, axis=0, out=rows[:n], mode="clip")
-            yc = ds.y[ks]
+            xc = np.take(ds.x, kp, axis=0, out=rows[:n], mode="clip")
+            yc = ds.y[kp]
             y = yc.astype(np.float64).tolist()
             ys = (yc * step).tolist()
             sa = sigmoid(yc * xc.dot(anchor_w)).tolist()
@@ -186,6 +215,7 @@ def svrg_local_cycle(
                     s = 1.0 / (1.0 + e) if z >= 0.0 else e / (1.0 + e)
                     push(ys[j] * (s - sa[j]))
                 u -= np.dot(a, xb)
+            t0 += n
         w = u - p.t_max * c
     if not np.isfinite(w).all():
         raise ValueError("local update diverged; reduce beta")
@@ -208,16 +238,20 @@ def aggregate_global(w_prev: np.ndarray, txs: Sequence[LocalUpdateTx]) -> np.nda
     return out
 
 
-def accuracy(w: np.ndarray, ds: Dataset) -> float:
-    """Fraction of ds classified correctly by w.
+def accuracy(w: np.ndarray, ds: Dataset) -> float | np.ndarray:
+    """Fraction of ds classified correctly by w, or by each row of a weight
+    stack w, one value per row from one product ``w @ x.T``.
 
     The tie w.x = 0 predicts -1, so a row is right exactly when w.x >= 0
     matches y < 0; a NaN margin predicts +1.  The exact count over len(ds)
     is the same double as the mean of the correct-row booleans.
     """
     w = np.asarray(w, dtype=np.float64)
-    if w.shape != (ds.dim,):
+    if w.ndim > 2 or w.shape[-1:] != (ds.dim,):
         raise ValueError("weight and feature dimensions differ")
+    if w.ndim == 2:
+        return np.count_nonzero(np.equal(w @ ds.x.T >= 0, ds.y < 0),
+                                axis=1) / len(ds)
     return np.count_nonzero(np.equal(ds.x @ w >= 0, ds.y < 0)) / len(ds)
 
 

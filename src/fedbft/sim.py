@@ -370,6 +370,9 @@ class TrainingRun:
     adversary_blocks: int
 
 
+_STAT_VALUES = 1 << 15  # values a block of per-cycle statistics may hold
+
+
 def run_training(
     p: SystemParams,
     enterprises: Sequence[EnterpriseData],
@@ -383,9 +386,11 @@ def run_training(
 
     Each row records the cycle index, the global weight move, held-out
     accuracy, pooled training loss, the sealed block's transaction count
-    and the full latency breakdown.  An adversary id that names no
-    enterprise and a non-finite latency model are rejected before any
-    training.
+    and the full latency breakdown.  No cycle reads the two statistics, so
+    they are taken for a block of cycles at a time, one matrix product per
+    dataset, when the block fills and when the run ends.  An adversary id
+    that names no enterprise, a held-out set of another width and a
+    non-finite latency model are rejected before any training.
     """
     for a in adversaries:
         if not 0 <= a < len(enterprises):
@@ -396,9 +401,26 @@ def run_training(
         raise ValueError("need at least one enterprise")
     # no cycle's model exceeds the one at n_block and the largest n_samples
     latency.t_total(p, max(len(e.train) for e in enterprises), p.n_block)
-    model = GlobalModel.initial(enterprises[0].train.dim)
+    dim = enterprises[0].train.dim
+    if holdout.dim != dim:
+        raise ValueError("holdout and training dimensions differ")
+    model = GlobalModel.initial(dim)
     train_sets = [e.train for e in enterprises]
+    # The statistics of up to k cycles are taken at once, from a stack of
+    # their weights: at most _STAT_VALUES pending weights or products.
+    k = max(1, _STAT_VALUES // max(dim, len(holdout), *map(len, train_sets)))
+    stack = np.empty((k, dim))
+    pending: list[tuple] = []
     rows: list[tuple] = []
+
+    def complete() -> None:
+        W = stack[:len(pending)]
+        for (cycle, delta, *rest), acc, loss in zip(
+                pending, accuracy(W, holdout).tolist(),
+                pooled_mean_loss(W, train_sets).tolist()):
+            rows.append((cycle, delta, acc, loss, *rest))
+        pending.clear()
+
     blocks: list[Block] = []
     result = "cycle-cap"
     for cycle in range(1, cycle_cap + 1):
@@ -411,15 +433,17 @@ def run_training(
             break
         # hypot scales as it sums, so a finite move has a finite norm
         delta = math.hypot(*(model.weights - prev).tolist())
-        rows.append((
-            cycle, delta, accuracy(model.weights, holdout),
-            pooled_mean_loss(model.weights, train_sets), len(block.txs),
-            *(getattr(breakdown, name) for name in ALL_FIELDS),
-        ))
+        stack[len(pending)] = model.weights
+        pending.append((cycle, delta, len(block.txs),
+                        *(getattr(breakdown, name) for name in ALL_FIELDS)))
         blocks.append(block)
         if delta <= p.epsilon:
             result = "converged"
             break
+        if len(pending) == k:
+            complete()
+    if pending:
+        complete()
     admitted = sum(any(tx.enterprise_id in adversaries for tx in block.txs)
                    for block in blocks)
     return TrainingRun(rows, blocks, result, admitted)

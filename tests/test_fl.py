@@ -1,6 +1,10 @@
 """Training math: loss, gradients, the local update rule, aggregation."""
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fedbft import fl
 from fedbft.data import Dataset, split_dataset, two_class_gaussian
 from fedbft.domain import LocalUpdateTx, SystemParams
 from fedbft.fl import (GlobalModel, accuracy, aggregate_global,
@@ -136,12 +141,25 @@ def test_mean_loss_matches_sample_loop():
 
 
 def test_pooled_loss_weights_by_sample_count():
+    # one value per row of the weight stack, each that row's weighted mean
     rng = np.random.default_rng(9)
     a = two_class_gaussian(10, 2, 1.0, rng)
     b = two_class_gaussian(30, 2, 1.0, rng)
-    w = rng.normal(size=2)
-    expected = (10 * mean_loss(w, a) + 30 * mean_loss(w, b)) / 40
-    assert pooled_mean_loss(w, [a, b]) == pytest.approx(expected, rel=1e-12)
+    W = rng.normal(size=(3, 2))
+    expected = [(10 * mean_loss(w, a) + 30 * mean_loss(w, b)) / 40 for w in W]
+    got = pooled_mean_loss(W, [a, b])
+    assert got.shape == (3,)
+    np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+
+def test_pooled_loss_rejects_what_is_not_a_stack_of_the_sets_width():
+    ds = two_class_gaussian(10, 2, 1.0, np.random.default_rng(9))
+    for W in (np.zeros(2), np.zeros((1, 4, 2))):
+        with pytest.raises(ValueError, match="stack"):
+            pooled_mean_loss(W, [ds])
+    for width in (1, 3):
+        with pytest.raises(ValueError, match="dimensions differ"):
+            pooled_mean_loss(np.zeros((4, width)), [ds])
 
 
 # --- the local update rule ---
@@ -228,15 +246,77 @@ def assert_matches_reference(model, ds, p):
     assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-@pytest.mark.parametrize("t_max", [1, 15, 16, 17, 255, 256, 257, 600])
-@pytest.mark.parametrize("dim", [2, 300])
+@pytest.mark.parametrize("t_max", [1, 15, 16, 17, 63, 64, 65, 255, 256, 257,
+                                   600])
+@pytest.mark.parametrize("dim", [2, 300, 1000])
 def test_local_cycle_matches_reference_at_block_and_chunk_edges(dim, t_max):
-    # the pass runs blocks of 16 steps inside chunks of 256 draws; a first,
-    # partial, full or spilling block or chunk must all step as the loop
+    # the pass runs blocks of 16 steps inside chunks of 256 draws, gathered
+    # in pieces of 64 rows at dim 1000; a first, partial, full or spilling
+    # block, piece or chunk must all step as the loop
     rng = np.random.default_rng(100 + dim)
     ds = two_class_gaussian(80, dim, 3.0, rng)
     model = GlobalModel(rng.normal(size=dim), rng.normal(size=dim) * 0.1)
     assert_matches_reference(model, ds, SystemParams(beta=2.0, t_max=t_max))
+
+
+PIECES_JOB = """
+import numpy as np
+from fedbft import fl
+from fedbft.data import two_class_gaussian
+from fedbft.domain import SystemParams
+
+def local_pass(dim, t_max):
+    rng = np.random.default_rng(dim + t_max)
+    ds = two_class_gaussian(300, dim, 3.0, rng)
+    model = fl.GlobalModel(rng.normal(size=dim) * 0.01,
+                           rng.normal(size=dim) * 0.01)
+    rng = np.random.default_rng(3)
+    w, g = fl.svrg_local_cycle(model, ds, SystemParams(beta=2.0, t_max=t_max),
+                               rng)
+    return w.tobytes(), g.tobytes(), rng.bit_generator.state
+
+pieces = fl._GATHER
+for dim, t_max in ((300, 500), (1000, 300), (5000, 100), (5000, 257)):
+    fl._GATHER = pieces
+    a = local_pass(dim, t_max)
+    fl._GATHER = 1 << 40  # one gather per chunk
+    print(dim, t_max, a == local_pass(dim, t_max))
+"""
+
+
+def test_gather_pieces_give_the_bits_of_one_gather():
+    # pieces of whole blocks split each chunk's gemvs at multiples of 16
+    # rows, which leaves every row's result, and so every step, unchanged
+    # on one BLAS thread.  (A threaded OpenBLAS gemv over about 100 rows
+    # of 5 000 features splits each row's dot between the threads, so its
+    # bits depend on the thread count: README "Determinism".)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(fl.__file__).parents[1]), env.get("PYTHONPATH"))
+        if p)
+    done = subprocess.run([sys.executable, "-c", PIECES_JOB], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["300", "500", "True", "1000", "300", "True",
+                                   "5000", "100", "True", "5000", "257", "True"]
+
+
+@pytest.mark.parametrize("dim, n, t_max", [(100_000, 5, 64), (2_048, 300, 256)])
+def test_local_cycle_gathers_one_bounded_piece_at_a_time(dim, n, t_max):
+    # rows are gathered in pieces of whole 16-row blocks of at most 2^16
+    # values, one block at least: 16 rows at 100 000 features, not a
+    # (64, dim) chunk of 51 MB, and 32 rows at 2 048, not 256 (4 MB)
+    rng = np.random.default_rng(14)
+    ds = Dataset(rng.standard_normal((n, dim)), rng.choice([-1, 1], size=n))
+    model = GlobalModel(np.zeros(dim), rng.normal(size=dim) * 0.01)
+    p = SystemParams(beta=0.5, t_max=t_max)
+    tracemalloc.start()
+    try:
+        svrg_local_cycle(model, ds, p, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * max(16 * dim, 1 << 16) * 8
 
 
 def test_local_cycle_matches_reference_when_rows_repeat_in_a_block():
@@ -323,6 +403,17 @@ def test_local_cycle_dimension_mismatch():
     ds, p = one_sample_problem()
     with pytest.raises(ValueError, match="dimensions differ"):
         svrg_local_cycle(GlobalModel.initial(2), ds, p, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_local_cycle_rejects_an_anchored_model_of_another_width(width):
+    # an anchored model skips the bootstrap gradient, whose own check
+    # would otherwise report a mismatch first
+    ds = two_class_gaussian(10, 2, 1.0, np.random.default_rng(0))
+    model = GlobalModel(np.zeros(width), np.zeros(width))
+    with pytest.raises(ValueError, match="model and dataset dimensions differ"):
+        svrg_local_cycle(model, ds, SystemParams(t_max=5),
+                         np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("dim,anchored", [(2, False), (300, True)])
@@ -489,6 +580,21 @@ def test_accuracy_matches_classify_loop():
     w = rng.normal(size=3)
     looped = np.mean([classify(w, x) == y for x, y in zip(ds.x, ds.y)])
     assert accuracy(w, ds) == pytest.approx(looped)
+
+
+def test_stacked_accuracy_is_each_rows_accuracy():
+    # a zero row puts every margin on the tie, which predicts -1, and a
+    # NaN row predicts +1 everywhere, in the stack as for one vector
+    rng = np.random.default_rng(11)
+    ds = Dataset(rng.standard_normal((50, 3)), np.repeat([-1, 1], [15, 35]))
+    W = np.array([rng.standard_normal(3), np.zeros(3), np.full(3, np.nan),
+                  -rng.standard_normal(3)])
+    got = accuracy(W, ds)
+    assert got.tolist() == [accuracy(w, ds) for w in W]
+    assert got[1] == 0.3 and got[2] == 0.7
+    for bad in (np.zeros((2, 4)), np.zeros((1, 2, 3)), np.zeros(())):
+        with pytest.raises(ValueError, match="dimensions differ"):
+            accuracy(bad, ds)
 
 
 def test_accuracy_counting():

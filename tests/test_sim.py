@@ -9,10 +9,10 @@ import pytest
 
 from dataclasses import replace
 
-from fedbft import latency, sim
+from fedbft import cli, latency, sim
 from fedbft.data import two_class_gaussian, split_dataset
 from fedbft.domain import ALL_FIELDS, SystemParams
-from fedbft.fl import GlobalModel
+from fedbft.fl import GlobalModel, accuracy, mean_loss
 from fedbft.fl import verify_update
 from fedbft.sim import (RandomStreams, audit_block, run_cycle,
                         run_experiment, run_leader_batching, run_pbft_round,
@@ -725,6 +725,149 @@ def test_run_training_ids_are_list_positions(e0, admitted):
         for tx in block.txs:
             assert tx.n_samples == len(ents[tx.enterprise_id].train)
     assert run.adversary_blocks == (3 if admitted else 0)
+
+
+# --- per-cycle statistics, taken a block of cycles at a time ---
+
+def recorded_training(monkeypatch, run):
+    """``run()``, with each cycle's new global weights and each weight stack
+    that the pooled loss takes recorded."""
+    weights, stacks = [], []
+    cycle, loss = sim.run_cycle, sim.pooled_mean_loss
+
+    def recording_cycle(*args):
+        out = cycle(*args)
+        weights.append(out[0].weights)
+        return out
+
+    def recording_loss(W, datasets):
+        stacks.append(W)
+        return loss(W, datasets)
+
+    monkeypatch.setattr(sim, "run_cycle", recording_cycle)
+    monkeypatch.setattr(sim, "pooled_mean_loss", recording_loss)
+    return run(), weights, stacks
+
+
+def assert_rows_match_one_vector_formulas(rows, weights, holdout, train_sets,
+                                          ulps=4):
+    # one row per cycle run; accuracy to the bit, the loss to its 12
+    # printed digits and within ``ulps`` of the one-vector form
+    assert [row[0] for row in rows] == list(range(1, len(weights) + 1))
+    total = sum(len(d) for d in train_sets)
+    for row, w in zip(rows, weights):
+        assert row[2] == accuracy(w, holdout)
+        loss = sum(mean_loss(w, d) * len(d) for d in train_sets) / total
+        assert format(row[3], ".12g") == format(loss, ".12g")
+        assert abs(row[3] - loss) <= ulps * math.ulp(loss)
+
+
+def block_edge_problem(epsilon=1e-300):
+    # a 2 048-row holdout sets the block at 2^15 / 2 048 = 16 cycles
+    p = SystemParams(t_max=20, epsilon=epsilon)
+    ents, streams = make_enterprises(11, samples=60, features=3, sep=1.0)
+    holdout = two_class_gaussian(2048, 3, 1.0, streams.data)
+    return p, ents, streams, holdout
+
+
+@pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1),
+                                           (2, 1)])
+def test_statistics_of_runs_ending_at_block_edges(monkeypatch, blocks, extra):
+    p, ents, streams, holdout = block_edge_problem()
+    k = sim._STAT_VALUES // len(holdout)
+    assert k == 16
+    cap = blocks * k + extra
+    run, weights, stacks = recorded_training(monkeypatch, lambda: run_training(
+        p, ents, holdout, streams, cycle_cap=cap))
+    assert run.result == "cycle-cap"
+    assert len(run.rows) == len(weights) == cap
+    # full blocks, then what is left at the end of the run
+    assert [len(W) for W in stacks] == [k] * (cap // k) + [cap % k] * (cap % k > 0)
+    assert_rows_match_one_vector_formulas(run.rows, weights, holdout,
+                                          [e.train for e in ents])
+
+
+def test_statistics_of_a_run_that_converges_mid_block(monkeypatch):
+    p, ents, streams, holdout = block_edge_problem(epsilon=0.02)
+    run, weights, stacks = recorded_training(monkeypatch, lambda: run_training(
+        p, ents, holdout, streams, cycle_cap=100))
+    assert run.result == "converged"
+    assert len(run.rows) % 16 and len(run.rows) > 16
+    assert [len(W) for W in stacks] == [16, len(run.rows) - 16]
+    assert_rows_match_one_vector_formulas(run.rows, weights, holdout,
+                                          [e.train for e in ents])
+
+
+def test_statistics_of_a_stalled_run(monkeypatch, tmp_path):
+    seen = {}
+    training = cli.run_training
+
+    def recording_training(p, enterprises, holdout, *args, **kw):
+        seen.update(enterprises=enterprises, holdout=holdout)
+        seen["run"] = training(p, enterprises, holdout, *args, **kw)
+        return seen["run"]
+
+    monkeypatch.setattr(cli, "run_training", recording_training)
+    argv = ["fl-run", "--seed", "22", "--separation", "0.5", "--samples", "60",
+            "--holdout", "50", "--cycle-cap", "30",
+            "--out", str(tmp_path / "run.csv")]
+    code, weights, stacks = recorded_training(monkeypatch,
+                                              lambda: cli.main(argv))
+    run = seen["run"]
+    assert code == 1 and run.result == "stalled"
+    assert len(run.rows) == len(weights) == 3
+    assert [len(W) for W in stacks] == [3]
+    assert_rows_match_one_vector_formulas(
+        run.rows, weights, seen["holdout"],
+        [e.train for e in seen["enterprises"]])
+
+
+@pytest.mark.parametrize("dim, cap", [(10_000, 7), (100_000, 3)])
+def test_pending_statistics_stay_within_their_budget(monkeypatch, dim, cap):
+    # the weight stack holds at most 2^15 values, or one row when a row
+    # alone is wider: then each cycle takes its own products, as one
+    # vector did
+    p = SystemParams(t_max=16, epsilon=1e-300)
+    ents, streams = make_enterprises(12, n=2, samples=10, features=dim,
+                                     sep=1.0)
+    holdout = two_class_gaussian(4, dim, 1.0, streams.data)
+    run, weights, stacks = recorded_training(monkeypatch, lambda: run_training(
+        p, ents, holdout, streams, cycle_cap=cap))
+    assert len(run.rows) == cap
+    (buffer,) = {id(W.base): W.base for W in stacks}.values()
+    assert buffer.shape == (max(1, sim._STAT_VALUES // dim), dim)
+    assert buffer.size <= max(dim, sim._STAT_VALUES)
+    assert [len(W) for W in stacks] == (
+        [3, 3, 1] if dim == 10_000 else [1, 1, 1])
+    # the sets are separable at this width: the loss is about 1e-9, a sum
+    # of exp(z) at margins z near -21, and a margin's last bit moves it by
+    # |z| ulps or more, so 2^12 ulps are allowed (173 seen at dim 10 000)
+    assert_rows_match_one_vector_formulas(run.rows, weights, holdout,
+                                          [e.train for e in ents], ulps=2**12)
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_run_training_rejects_a_holdout_of_another_width(width):
+    ents, streams = make_enterprises(13, samples=20)
+    holdout = two_class_gaussian(10, width, 1.0, streams.data)
+    with pytest.raises(ValueError, match="holdout and training dimensions"):
+        run_training(SystemParams(t_max=5), ents, holdout, streams)
+
+
+def test_a_move_of_exactly_epsilon_converges():
+    # the stop rule is inclusive: a first move equal to epsilon stops the
+    # run there, and one just above it does not
+    def run(epsilon, cap):
+        ents, streams = make_enterprises(14, samples=40)
+        holdout = two_class_gaussian(20, 2, 4.0, streams.data)
+        return run_training(SystemParams(t_max=20, epsilon=epsilon), ents,
+                            holdout, streams, cycle_cap=cap)
+
+    delta = run(1e-300, 1).rows[0][1]
+    at = run(delta, 3)
+    assert at.result == "converged" and len(at.rows) == 1
+    below = run(math.nextafter(delta, 0.0), 3)
+    assert below.rows[0][1] == delta and len(below.rows) > 1
 
 
 def test_run_cycle_rejecting_everything_raises():
